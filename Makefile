@@ -67,7 +67,7 @@ bench-snapshot:
 
 # serve-smoke exercises the detection server's full lifecycle: bind an
 # ephemeral port, health-check, register a model, classify through the
-# batched path, scrape metrics, and shut down gracefully.
+# inline classify path, scrape metrics, and shut down gracefully.
 serve-smoke:
 	$(GO) test ./internal/serve -run TestServeSmoke -count=1 -v
 

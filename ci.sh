@@ -16,6 +16,11 @@ go test -race -count=1 ./internal/sched ./internal/core ./internal/suite \
 # drift -> retrain -> shadow -> promote -> rollback, all
 # race-instrumented.
 go test -race -count=1 -run TestChaos ./internal/serve ./internal/fleet
+# Classification runs inline on each handler goroutine, concurrently
+# with the registry and the lifecycle mirror: repeat the concurrent
+# classify burst and the classify-storm-across-promotion test under the
+# race detector.
+go test -race -count=10 -run 'TestServeConcurrentMatchesSequential|TestChaosDriftRetrainPromoteRollback' ./internal/serve
 go test -run '^$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
 go test -run '^$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream

@@ -80,10 +80,10 @@
 //     comparison baselines
 //   - internal/exps — regenerates every table and figure of the paper
 //   - internal/serve, internal/resilience — the long-running detection
-//     service: micro-batched inference, model registry, admission
-//     control and circuit breakers, plus a length-prefixed binary
-//     classify protocol (POST /v1/classify-bin) for batched hot-path
-//     inference
+//     service: inline inference on each request's handler goroutine,
+//     model registry, admission control and circuit breakers, plus a
+//     length-prefixed binary classify protocol (POST /v1/classify-bin)
+//     whose vector frames classify as one columnar batch
 //   - internal/stream — online streaming detection: sliding-window
 //     classification with phase and drift tracking, behind GET
 //     /v1/watch and `fsml watch`

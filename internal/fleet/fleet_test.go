@@ -58,7 +58,6 @@ func startBackend(t testing.TB, addr string) *serve.Server {
 	det := tinyDetector(t)
 	s := serve.New(serve.Config{
 		Addr:        addr,
-		Linger:      -1,
 		MaxInflight: -1,
 		Train:       func(serve.TrainSpec) (*core.Detector, error) { return det, nil },
 	})

@@ -169,8 +169,12 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		done     int
 		firstErr *indexedErr
+		// progressMu serializes OnProgress calls and guards done: the
+		// count and the call share one critical section, so done reaches
+		// the callback in increasing order.
+		progressMu sync.Mutex
+		done       int
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
@@ -184,11 +188,10 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		if opts.OnProgress == nil {
 			return
 		}
-		mu.Lock()
+		progressMu.Lock()
+		defer progressMu.Unlock()
 		done++
-		d := done
-		mu.Unlock()
-		opts.OnProgress(d, n)
+		opts.OnProgress(done, n)
 	}
 
 	wg.Add(workers)

@@ -5,9 +5,9 @@ package serve
 // exists for the hot path — a monitoring agent shipping thousands of
 // event vectors per second — where JSON encode/decode dominates the
 // actual tree walk. A vector frame is classified as one columnar batch
-// through Detector.ClassifyVectors (the frame IS the micro-batch, so it
-// skips the linger-based batcher), and verdicts are identical to the
-// JSON endpoint's: same projection cache, same flat tree, same degraded
+// through Detector.ClassifyVectors (the client formed the batch, so the
+// server never waits for one), and verdicts are identical to the JSON
+// endpoint's: same projection cache, same flat tree, same degraded
 // semantics when suspects are flagged.
 //
 // Error handling is split by layer, on purpose: middleware rejections
@@ -73,23 +73,15 @@ func (s *Server) handleClassifyBin(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(out)
 }
 
-// classifyBin dispatches a decoded frame: trace frames replay through
-// the batcher exactly like JSON trace requests; vector frames are
-// classified as one columnar batch.
+// classifyBin dispatches a decoded frame: a trace frame goes through
+// the classify pipeline exactly like a JSON trace request; a vector
+// frame is classified as one columnar batch.
 func (s *Server) classifyBin(ctx context.Context, det *core.Detector, key string, req *BinClassifyRequest) (*BinClassifyResponse, error) {
+	vd := verdictor{det: det}
 	if len(req.Trace) > 0 {
-		jr := &ClassifyRequest{Trace: req.Trace, Seed: req.Seed}
-		resp, err := s.batcher.Submit(ctx, func() (*ClassifyResponse, error) {
-			c0 := time.Now()
-			resp, err := s.classifyTrace(verdictor{det: det}, key, jr)
-			s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds())
-			return resp, err
-		})
+		resp, err := s.classify(ctx, vd, key, &ClassifyRequest{Trace: req.Trace, Seed: req.Seed}, nil)
 		if err != nil {
 			return nil, err
-		}
-		if resp.Degraded {
-			s.metrics.Add(mDegraded, 1)
 		}
 		return &BinClassifyResponse{
 			Detector: key,
@@ -102,41 +94,43 @@ func (s *Server) classifyBin(ctx context.Context, det *core.Detector, key string
 	if n == 0 {
 		return nil, badRequestf("classify-bin: empty vector frame")
 	}
-	c0 := time.Now()
-	defer func() { s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds()) }()
-
-	// Fast path: a clean frame against a tree detector runs columnar —
-	// one projection, one flat-tree pass, interned verdict strings.
-	if len(req.Suspects) == 0 && det.FlatTree() != nil {
-		classes := make([]string, n)
-		if err := det.ClassifyVectors(req.Events, req.Vecs, req.Width, classes); err != nil {
-			return nil, badRequestf("classify-bin: %v", err)
-		}
-		verdicts := make([]BinVerdict, n)
-		for i, c := range classes {
-			verdicts[i] = BinVerdict{Class: c, Confidence: 1}
-		}
-		return &BinClassifyResponse{Detector: key, Verdicts: verdicts}, nil
-	}
-
-	// Degraded or non-tree frames reuse the JSON endpoint's per-vector
-	// path so suspect handling stays semantically identical.
-	jr := &ClassifyRequest{Events: req.Events, SuspectEvents: req.Suspects}
 	resp := &BinClassifyResponse{Detector: key, Verdicts: make([]BinVerdict, n)}
 	degraded := false
-	for i := 0; i < n; i++ {
-		jr.Vector = req.Vecs[i*req.Width : (i+1)*req.Width]
-		jresp, err := s.classifyVector(verdictor{det: det}, key, jr)
-		if err != nil {
-			return nil, err
+	err := s.runStage(ctx, func() error {
+		// Fast path: a clean frame against a tree detector runs columnar —
+		// one projection, one flat-tree pass, interned verdict strings.
+		if len(req.Suspects) == 0 && det.FlatTree() != nil {
+			classes := make([]string, n)
+			if err := det.ClassifyVectors(req.Events, req.Vecs, req.Width, classes); err != nil {
+				return badRequestf("classify-bin: %v", err)
+			}
+			for i, c := range classes {
+				resp.Verdicts[i] = BinVerdict{Class: c, Confidence: 1}
+			}
+			return nil
 		}
-		resp.Verdicts[i] = BinVerdict{Class: jresp.Class, Confidence: jresp.Confidence, Degraded: jresp.Degraded}
-		if jresp.Degraded {
-			degraded = true
+		// Degraded or non-tree frames take the JSON endpoint's per-vector
+		// sample and verdict steps, so suspect handling stays
+		// semantically identical.
+		for i := 0; i < n; i++ {
+			sample, err := vectorSample(vd, req.Events, req.Vecs[i*req.Width:(i+1)*req.Width], req.Suspects)
+			if err != nil {
+				return err
+			}
+			rr, _, err := s.verdict(vd, key, measurement{sample: sample})
+			if err != nil {
+				return err
+			}
+			resp.Verdicts[i] = BinVerdict{Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded}
+			degraded = degraded || rr.Degraded
+			if resp.Suspects == nil {
+				resp.Suspects = rr.Suspects
+			}
 		}
-		if resp.Suspects == nil {
-			resp.Suspects = jresp.Suspects
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if degraded {
 		s.metrics.Add(mDegraded, 1)

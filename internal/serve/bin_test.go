@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"fsml/internal/core"
 )
@@ -96,8 +94,8 @@ func TestBinCodecRoundTrip(t *testing.T) {
 
 // TestClassifyBinGoldenWire pins both directions of the binary protocol
 // byte for byte: the canonical degraded request's frame and the
-// response frame it produces, identical across batching/parallelism
-// configs, against testdata/classify_bin.golden. Regenerate with:
+// response frame it produces, against testdata/classify_bin.golden.
+// Regenerate with:
 // go test ./internal/serve -run TestClassifyBinGoldenWire -update
 func TestClassifyBinGoldenWire(t *testing.T) {
 	req := &BinClassifyRequest{
@@ -110,35 +108,24 @@ func TestClassifyBinGoldenWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := []Config{
-		{MaxBatch: 1},
-		{MaxBatch: 8, Linger: 2 * time.Millisecond, Parallelism: 8},
+	_, client := newTestServer(t, Config{})
+	resp, err := http.Post(client.BaseURL+"/v1/classify-bin", contentTypeBin, bytes.NewReader(reqFrame))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var bodies [][]byte
-	for _, cfg := range configs {
-		_, client := newTestServer(t, cfg)
-		resp, err := http.Post(client.BaseURL+"/v1/classify-bin", contentTypeBin, bytes.NewReader(reqFrame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %x", resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != contentTypeBin {
-			t.Fatalf("Content-Type = %q, want %q", ct, contentTypeBin)
-		}
-		bodies = append(bodies, body)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatalf("response frames differ across configs:\n%x\nvs\n%x", bodies[0], bodies[1])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %x", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != contentTypeBin {
+		t.Fatalf("Content-Type = %q, want %q", ct, contentTypeBin)
 	}
 
-	blob := append(append([]byte(nil), reqFrame...), bodies[0]...)
+	blob := append(append([]byte(nil), reqFrame...), body...)
 	golden := filepath.Join("testdata", "classify_bin.golden")
 	if *update {
 		if err := os.WriteFile(golden, blob, 0o644); err != nil {
@@ -154,7 +141,7 @@ func TestClassifyBinGoldenWire(t *testing.T) {
 	}
 
 	// The pinned response must actually exercise the degraded fields.
-	parsed, errFrame, err := DecodeBinResponse(bodies[0])
+	parsed, errFrame, err := DecodeBinResponse(body)
 	if err != nil || errFrame != nil {
 		t.Fatalf("decode: errFrame=%v err=%v", errFrame, err)
 	}
@@ -170,83 +157,78 @@ func TestClassifyBinGoldenWire(t *testing.T) {
 // TestClassifyBinMatchesJSON asserts the binary endpoint returns the
 // same verdicts as /v1/classify for identical inputs — clean vectors,
 // degraded vectors, defaulted event names, multi-vector frames, and a
-// trace — across batching configs.
+// trace.
 func TestClassifyBinMatchesJSON(t *testing.T) {
 	var tr strings.Builder
 	for i := 0; i < 200; i++ {
 		fmt.Fprintf(&tr, "T0 S 0x1000 x8\nT0 E 40\nT1 S 0x1008 x8\nT1 E 40\n")
 	}
-	for _, cfg := range []Config{
-		{MaxBatch: 1},
-		{MaxBatch: 8, Linger: 2 * time.Millisecond, Parallelism: 8},
-	} {
-		_, client := newTestServer(t, cfg)
-		ctx := context.Background()
+	_, client := newTestServer(t, Config{})
+	ctx := context.Background()
 
-		// 24 mixed single-vector requests through both endpoints.
-		for i := 0; i < 24; i++ {
-			jr := vectorRequest(i)
-			want, err := client.Classify(ctx, jr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := client.ClassifyBinary(ctx, binVectorRequest(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Verdicts) != 1 {
-				t.Fatalf("req %d: %d verdicts, want 1", i, len(got.Verdicts))
-			}
-			v := got.Verdicts[0]
-			if v.Class != want.Class || v.Confidence != want.Confidence || v.Degraded != want.Degraded ||
-				fmt.Sprint(got.Suspects) != fmt.Sprint(want.Suspects) {
-				t.Errorf("req %d: binary %+v (suspects %v) != JSON %+v", i, v, got.Suspects, want)
-			}
-		}
-
-		// One frame carrying the same 24 clean vectors (no suspects: the
-		// columnar fast path) with defaulted event names.
-		var vecs []float64
-		var wantClasses []string
-		for i := 0; i < 24; i++ {
-			jr := vectorRequest(i)
-			jr.SuspectEvents = nil
-			vecs = append(vecs, jr.Vector...)
-			want, err := client.Classify(ctx, jr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantClasses = append(wantClasses, want.Class)
-		}
-		got, err := client.ClassifyBinary(ctx, &BinClassifyRequest{Width: 2, Vecs: vecs})
+	// 24 mixed single-vector requests through both endpoints.
+	for i := 0; i < 24; i++ {
+		jr := vectorRequest(i)
+		want, err := client.Classify(ctx, jr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Verdicts) != 24 {
-			t.Fatalf("%d verdicts, want 24", len(got.Verdicts))
+		got, err := client.ClassifyBinary(ctx, binVectorRequest(i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, v := range got.Verdicts {
-			if v.Class != wantClasses[i] || v.Confidence != 1 || v.Degraded {
-				t.Errorf("frame vector %d: %+v, want clean %q", i, v, wantClasses[i])
-			}
+		if len(got.Verdicts) != 1 {
+			t.Fatalf("req %d: %d verdicts, want 1", i, len(got.Verdicts))
 		}
+		v := got.Verdicts[0]
+		if v.Class != want.Class || v.Confidence != want.Confidence || v.Degraded != want.Degraded ||
+			fmt.Sprint(got.Suspects) != fmt.Sprint(want.Suspects) {
+			t.Errorf("req %d: binary %+v (suspects %v) != JSON %+v", i, v, got.Suspects, want)
+		}
+	}
 
-		// Trace mode agrees with the JSON trace path, seconds included.
-		want, err := client.Classify(ctx, ClassifyRequest{Trace: []byte(tr.String()), Seed: 7})
+	// One frame carrying the same 24 clean vectors (no suspects: the
+	// columnar fast path) with defaulted event names.
+	var vecs []float64
+	var wantClasses []string
+	for i := 0; i < 24; i++ {
+		jr := vectorRequest(i)
+		jr.SuspectEvents = nil
+		vecs = append(vecs, jr.Vector...)
+		want, err := client.Classify(ctx, jr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTr, err := client.ClassifyBinary(ctx, &BinClassifyRequest{Trace: []byte(tr.String()), Seed: 7})
-		if err != nil {
-			t.Fatal(err)
+		wantClasses = append(wantClasses, want.Class)
+	}
+	got, err := client.ClassifyBinary(ctx, &BinClassifyRequest{Width: 2, Vecs: vecs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Verdicts) != 24 {
+		t.Fatalf("%d verdicts, want 24", len(got.Verdicts))
+	}
+	for i, v := range got.Verdicts {
+		if v.Class != wantClasses[i] || v.Confidence != 1 || v.Degraded {
+			t.Errorf("frame vector %d: %+v, want clean %q", i, v, wantClasses[i])
 		}
-		if len(gotTr.Verdicts) != 1 {
-			t.Fatalf("trace: %d verdicts, want 1", len(gotTr.Verdicts))
-		}
-		v := gotTr.Verdicts[0]
-		if v.Class != want.Class || v.Confidence != want.Confidence || v.Seconds != want.Seconds {
-			t.Errorf("trace: binary %+v != JSON %+v", v, want)
-		}
+	}
+
+	// Trace mode agrees with the JSON trace path, seconds included.
+	want, err := client.Classify(ctx, ClassifyRequest{Trace: []byte(tr.String()), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTr, err := client.ClassifyBinary(ctx, &BinClassifyRequest{Trace: []byte(tr.String()), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotTr.Verdicts) != 1 {
+		t.Fatalf("trace: %d verdicts, want 1", len(gotTr.Verdicts))
+	}
+	v := gotTr.Verdicts[0]
+	if v.Class != want.Class || v.Confidence != want.Confidence || v.Seconds != want.Seconds {
+		t.Errorf("trace: binary %+v != JSON %+v", v, want)
 	}
 }
 
@@ -405,15 +387,7 @@ func BenchmarkServeClassifyBin(b *testing.B) {
 		{"frame64", 64},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{MaxBatch: 1, MaxInflight: -1}
-			cfg.Train = func(TrainSpec) (*core.Detector, error) { return det, nil }
-			s := New(cfg)
-			hs := httptest.NewServer(s.Handler())
-			defer func() {
-				hs.Close()
-				s.batcher.Close()
-			}()
-			client := NewClient(hs.URL)
+			_, client := newTestServer(b, Config{Train: func(TrainSpec) (*core.Detector, error) { return det, nil }})
 			var vecs []float64
 			for i := 0; i < bc.perCall; i++ {
 				jr := vectorRequest(i)

@@ -21,7 +21,6 @@ import (
 
 	"fsml/internal/core"
 	"fsml/internal/ensemble"
-	"fsml/internal/exps"
 	"fsml/internal/pmu"
 )
 
@@ -97,25 +96,29 @@ type ensembleRegistry struct {
 	entries map[string]*ensembleEntry
 }
 
-// newEnsembleRegistry wires the lazy trainer (cfg.TrainEnsemble override
-// for tests, else the exps.Lab base + widened-grid pipeline).
-func newEnsembleRegistry(dir string, parallelism int, train func(spec EnsembleSpec) (*ensemble.Detector, error), m *Metrics) *ensembleRegistry {
-	if train == nil {
-		train = func(spec EnsembleSpec) (*ensemble.Detector, error) {
-			seed := spec.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			lab := &exps.Lab{Quick: spec.Quick, Seed: seed, Parallelism: parallelism}
-			base, err := lab.Detector()
-			if err != nil {
-				return nil, err
-			}
-			cfg := ensemble.TrainConfig{Quick: spec.Quick, Seed: seed, Parallelism: parallelism}
-			return ensemble.TrainContext(context.Background(), cfg, base)
-		}
-	}
+// newEnsembleRegistry wires the lazy trainer (cfg.TrainEnsemble for
+// tests, else Server.trainEnsemble).
+func newEnsembleRegistry(dir string, train func(spec EnsembleSpec) (*ensemble.Detector, error), m *Metrics) *ensembleRegistry {
 	return &ensembleRegistry{dir: dir, train: train, metrics: m, entries: map[string]*ensembleEntry{}}
+}
+
+// trainEnsemble is the default ensemble trainer: the widened-grid
+// pipeline around the 3-class detector of the same quick/seed spec. The
+// base resolves through the detector registry, so a server that already
+// holds it (resident or on disk) does not train it twice, and its
+// training shares the registry's singleflight and breaker.
+func (s *Server) trainEnsemble(spec EnsembleSpec) (*ensemble.Detector, error) {
+	seed := spec.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	ctx := context.Background()
+	base, _, err := s.reg.Get(ctx, TrainSpec{Quick: spec.Quick, Seed: seed}.Key())
+	if err != nil {
+		return nil, err
+	}
+	cfg := ensemble.TrainConfig{Quick: spec.Quick, Seed: seed, Parallelism: s.cfg.Parallelism}
+	return ensemble.TrainContext(ctx, cfg, base)
 }
 
 func (r *ensembleRegistry) count(name string) {

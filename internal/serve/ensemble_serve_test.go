@@ -3,24 +3,29 @@ package serve
 // Tests of the ensemble side of the serving layer: key parsing, the
 // ?ensemble=1 classify path, the ensemble registry's warm start and
 // quarantine, and the detector listing. Like the rest of the suite,
-// everything runs against a tiny hand-built model so no test pays for a
-// widened-grid training sweep.
+// almost everything runs against a tiny hand-built model; only
+// TestEnsembleTrainsBaseOnce pays for real quick training, because it
+// pins the default trainer.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"fsml/internal/core"
 	"fsml/internal/dataset"
 	"fsml/internal/ensemble"
+	"fsml/internal/exps"
 	"fsml/internal/pmu"
 )
 
-// vecSample wraps a pre-normalized vector the way classifyVector does:
+// vecSample wraps a pre-normalized vector the way vectorSample does:
 // a synthetic sample with an instruction normalizer of 1.
 func vecSample(names []string, vec []float64) pmu.Sample {
 	return pmu.Sample{Names: names, Counts: vec, Instructions: 1}
@@ -116,6 +121,66 @@ func TestEnsembleSpecKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEnsembleTrainsBaseOnce pins the default ensemble trainer: a
+// 3-class classify followed by an ?ensemble=1 classify trains the quick
+// seed-1 base detector exactly once, because the ensemble resolves its
+// base through the detector registry, and the ensemble the server
+// builds is byte-identical to the lab's.
+func TestEnsembleTrainsBaseOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the quick detector and ensemble")
+	}
+	lab := &exps.Lab{Quick: true, Seed: 1}
+	var trains atomic.Int64
+	s, client := newTestServer(t, Config{Train: func(spec TrainSpec) (*core.Detector, error) {
+		trains.Add(1)
+		if spec != (TrainSpec{Quick: true, Seed: 1}) {
+			return nil, fmt.Errorf("unexpected train spec %+v", spec)
+		}
+		return lab.Detector()
+	}})
+	ctx := context.Background()
+	// A replayed trace measures every event, so it suits both the
+	// 3-class detector and the ensemble.
+	req := ClassifyRequest{Trace: []byte(strings.Repeat("T0 S 0x1000 x8\nT0 E 40\nT1 S 0x1008 x8\nT1 E 40\n", 200))}
+	if _, err := client.Classify(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.ClassifyEnsemble(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if n := trains.Load(); n != 1 {
+		t.Errorf("base detector trained %d times, want 1", n)
+	}
+
+	served, err := s.ens.Get(ctx, EnsembleSpec{Quick: true, Seed: 1}.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := s.reg.Get(ctx, TrainSpec{Quick: true, Seed: 1}.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Base != base {
+		t.Error("the ensemble's base is not the registry's detector: it was trained separately")
+	}
+	want, err := lab.Ensemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBlob, err := served.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBlob, err := want.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBlob, wantBlob) {
+		t.Error("served ensemble differs from exps.Lab{Quick: true, Seed: 1}.Ensemble()")
+	}
+}
+
 // TestClassifyEnsembleEndToEnd drives POST /v1/classify?ensemble=1
 // through the real HTTP stack and checks the ranked multi-label verdict;
 // the same vector without the opt-in must keep the single-detector wire
@@ -200,7 +265,7 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 	}
 	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
 
-	reg1 := newEnsembleRegistry(dir, 0, train, nil)
+	reg1 := newEnsembleRegistry(dir, train, nil)
 	if _, err := reg1.Get(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +277,7 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 		t.Fatalf("model file not persisted: %v", err)
 	}
 
-	reg2 := newEnsembleRegistry(dir, 0, train, nil)
+	reg2 := newEnsembleRegistry(dir, train, nil)
 	got, err := reg2.Get(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +293,7 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMetrics()
-	reg3 := newEnsembleRegistry(dir, 0, train, m)
+	reg3 := newEnsembleRegistry(dir, train, m)
 	if _, err := reg3.Get(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}

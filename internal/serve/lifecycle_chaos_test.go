@@ -322,13 +322,14 @@ func BenchmarkShadowMirror(b *testing.B) {
 
 	run := func(b *testing.B, s *Server) {
 		b.Helper()
-		det, key, err := s.detector(context.Background(), "")
+		ctx := context.Background()
+		det, key, err := s.detector(ctx, "")
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.classifyVector(verdictor{det: det}, key, req); err != nil {
+			if _, err := s.classify(ctx, verdictor{det: det}, key, req, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,10 +2,10 @@ package serve
 
 // Self-contained serving metrics: named counters and fixed-bucket
 // histograms with a deterministic text rendering, no external deps. The
-// set of series is small and known ahead of time (requests, batch sizes,
-// cache traffic, per-stage latency), so a mutex-guarded map is plenty —
-// the contended path is one lock per observation, dwarfed by the
-// simulation work behind each request.
+// set of series is small and known ahead of time (requests, cache
+// traffic, per-stage latency), so a mutex-guarded map is plenty — the
+// contended path is one lock per observation, dwarfed by the work
+// behind each request.
 
 import (
 	"fmt"
@@ -151,9 +151,8 @@ func formatBound(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Metric names and bucket sets used by the server. Batch-size buckets
-// cover the configurable MaxBatch range; latency buckets span 100µs to
-// ~100s in roughly 10x steps, in seconds.
+// Metric names and the latency bucket set used by the server. Latency
+// buckets span 100µs to ~100s in roughly 10x steps, in seconds.
 const (
 	mReqClassify    = "fsml_requests_classify_total"
 	mReqClassifyBin = "fsml_requests_classify_bin_total"
@@ -164,8 +163,6 @@ const (
 	mRegistryMisses = "fsml_registry_misses_total"
 	mRegistryEvicts = "fsml_registry_evictions_total"
 	mDegraded       = "fsml_classify_degraded_total"
-	mBatchSize      = "fsml_batch_size"
-	mBatchQueueSec  = "fsml_batch_queue_seconds"
 	mClassifySec    = "fsml_stage_classify_seconds"
 	mReportSec      = "fsml_stage_report_seconds"
 	mRequestSec     = "fsml_request_seconds"
@@ -185,7 +182,4 @@ const (
 	mQuarantined     = "fsml_registry_quarantined_total"
 )
 
-var (
-	batchBuckets   = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-	latencyBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}
-)
+var latencyBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}

@@ -1,7 +1,7 @@
 // Package serve is the detection-as-a-service layer: a long-running
-// HTTP server that keeps trained detectors hot in a registry, batches
-// inference requests through the deterministic batch engine, and exposes
-// the paper's pipeline as a JSON API.
+// HTTP server that keeps trained detectors hot in a registry, classifies
+// each request inline on its handler goroutine, and exposes the paper's
+// pipeline as a JSON API.
 //
 // Endpoints:
 //
@@ -10,7 +10,7 @@
 //	                     text/x-perf-stat body — raw `perf stat` /
 //	                     `perf c2c report` output
 //	POST /v1/classify-bin the same classifications over the binary frame
-//	                     protocol (batched vectors; see wire.go)
+//	                     protocol (many vectors per frame; see wire.go)
 //	POST /v1/report      full report.Options sweep of a named workload
 //	GET  /v1/watch       live monitoring: stream windowed verdicts,
 //	                     phase changes, and drift alarms as SSE
@@ -20,10 +20,9 @@
 //	GET  /readyz         readiness: overload, shutdown, breaker state
 //	GET  /metrics        self-contained counters and histograms
 //
-// Everything is stdlib net/http. Verdicts served through the batched
-// path are byte-identical to one-shot classification: each request owns
-// its seed and its simulated machine, so batching and parallelism change
-// wall-clock time only.
+// Everything is stdlib net/http. Verdicts are byte-identical to one-shot
+// classification: each request owns its seed and its simulated machine,
+// so concurrency and parallelism change wall-clock time only.
 //
 // The server is built to stay up under abuse (see internal/resilience):
 // classify and report admissions are bounded per endpoint and shed with
@@ -55,6 +54,7 @@ import (
 	"fsml/internal/ensemble"
 	"fsml/internal/faults"
 	"fsml/internal/lifecycle"
+	"fsml/internal/machine"
 	"fsml/internal/perfingest"
 	"fsml/internal/pmu"
 	"fsml/internal/report"
@@ -66,20 +66,12 @@ import (
 )
 
 // Config shapes a Server. The zero value serves on 127.0.0.1:8723 with a
-// quick-trained default detector, batches of up to 16 with a 2ms linger,
-// and an 8-entry registry.
+// quick-trained default detector and an 8-entry registry.
 type Config struct {
 	// Addr is the listen address for Start (default "127.0.0.1:8723").
 	Addr string
-	// MaxBatch caps how many classify requests one micro-batch groups
-	// (default 16; 1 disables batching).
-	MaxBatch int
-	// Linger is how long a forming batch waits for stragglers before it
-	// executes short of MaxBatch (default 2ms; negative disables the
-	// wait so batches form only from already queued requests).
-	Linger time.Duration
-	// Parallelism caps concurrent case simulations per batch and sweep
-	// (0 = GOMAXPROCS).
+	// Parallelism caps concurrent case simulations per report sweep and
+	// lazy training run (0 = GOMAXPROCS).
 	Parallelism int
 	// RegistryDir, when non-empty, persists trained/uploaded models and
 	// warm-starts the registry from disk (see Registry).
@@ -99,8 +91,9 @@ type Config struct {
 	Faults faults.Config
 	// MaxInflight bounds concurrently admitted requests per heavy
 	// endpoint — classify and report each get their own limiter, so a
-	// report storm cannot starve classification (default 64; negative
-	// disables admission control).
+	// report storm cannot starve classification. It is the only bound
+	// on classify concurrency: admitted requests classify inline
+	// (default 64; negative disables admission control).
 	MaxInflight int
 	// ShedAfter is how long an over-limit request may wait for an
 	// admission slot before it is shed with 429 + Retry-After
@@ -138,12 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:8723"
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
-	}
-	if c.Linger == 0 {
-		c.Linger = 2 * time.Millisecond
-	}
 	if c.RegistryCapacity <= 0 {
 		c.RegistryCapacity = 8
 	}
@@ -174,7 +161,6 @@ type Server struct {
 	metrics *Metrics
 	reg     *Registry
 	ens     *ensembleRegistry
-	batcher *Batcher
 
 	limClassify *resilience.Limiter
 	limReport   *resilience.Limiter
@@ -226,14 +212,17 @@ func New(cfg Config) *Server {
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
 		}),
-		ens:          newEnsembleRegistry(cfg.RegistryDir, cfg.Parallelism, cfg.TrainEnsemble, m),
-		batcher:      NewBatcher(cfg.MaxBatch, cfg.Linger, cfg.Parallelism, m),
 		limClassify:  resilience.NewLimiter(cfg.MaxInflight, shedAfter),
 		limReport:    resilience.NewLimiter(cfg.MaxInflight, shedAfter),
 		limWatch:     resilience.NewLimiter(cfg.MaxInflight, shedAfter),
 		watchStop:    make(chan struct{}),
 		handlersDone: make(chan struct{}),
 	}
+	trainEnsemble := cfg.TrainEnsemble
+	if trainEnsemble == nil {
+		trainEnsemble = s.trainEnsemble
+	}
+	s.ens = newEnsembleRegistry(cfg.RegistryDir, trainEnsemble, m)
 	if cfg.Lifecycle != nil {
 		s.initLifecycle()
 	}
@@ -323,9 +312,8 @@ func (w *statusWriter) Flush() {
 // admit is the admission-control middleware. It rejects requests that
 // arrive after shutdown began (503, never queued), sheds over-limit
 // requests once the shed window expires (429 + Retry-After), and tracks
-// admitted handlers so Shutdown can drain them before closing the
-// batcher. lim may be nil for endpoints that only need the shutdown
-// gate.
+// admitted handlers so Shutdown can drain them. lim may be nil for
+// endpoints that only need the shutdown gate.
 func (s *Server) admit(lim *resilience.Limiter, shedMetric string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -414,11 +402,10 @@ func (s *Server) Addr() string {
 
 // Shutdown drains gracefully: close the admission gate (new requests
 // get 503, never queued), stop accepting connections, wait for every
-// already-admitted handler to complete (their batched jobs keep
-// executing), then close the batcher once no handler can submit
-// anymore. The whole drain is bounded by ctx: if admitted handlers or
-// queued batches outlive the deadline, Shutdown returns ctx.Err() and
-// leaves the drain goroutine to finish behind it.
+// already-admitted handler to complete, then close the lifecycle loop.
+// The whole drain is bounded by ctx: if admitted handlers outlive the
+// deadline, Shutdown returns ctx.Err() and leaves the drain goroutine
+// to finish behind it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.shutting {
@@ -438,8 +425,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	drained := make(chan struct{})
 	go func() {
-		<-s.handlersDone  // admitted handlers first ...
-		s.batcher.Close() // ... then the batches they queued
+		<-s.handlersDone // admitted handlers first ...
 		if s.lc != nil {
 			s.lc.Close() // ... then the loop (finalizes the open run)
 		}
@@ -460,6 +446,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // maxBodyBytes bounds request bodies (uploaded traces dominate).
 const maxBodyBytes = 64 << 20
+
+// ErrShuttingDown rejects requests that arrive after Shutdown began.
+var ErrShuttingDown = errors.New("serve: server is shutting down")
 
 // badRequestError marks client errors (HTTP 400).
 type badRequestError struct{ msg string }
@@ -704,44 +693,35 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// latency histogram too, not just successes.
 	defer func() { s.metrics.Observe(mRequestSec, latencyBuckets, time.Since(t0).Seconds()) }()
 	s.metrics.Add(mReqClassify, 1)
-	if isPerfUpload(r) {
-		s.classifyPerfUpload(w, r)
-		return
-	}
 	var req ClassifyRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	var perf *perfCapture
+	var err error
+	if isPerfUpload(r) {
+		perf, err = decodePerfUpload(w, r, &req)
+	} else if err = decodeJSON(w, r, &req); err == nil {
+		err = validateClassify(&req)
+	}
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	ctx, cancel := s.reqContext(r, req.TimeoutMS)
 	defer cancel()
-	if err := validateClassify(&req); err != nil {
-		s.writeError(w, err)
-		return
-	}
 	vd, key, err := s.verdictorFor(ctx, r, req.Detector)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	resp, err := s.batcher.Submit(ctx, func() (*ClassifyResponse, error) {
-		c0 := time.Now()
-		resp, err := s.classifyOne(vd, key, &req)
-		s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds())
-		return resp, err
-	})
+	resp, err := s.classify(ctx, vd, key, &req, perf)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if resp.Degraded {
-		s.metrics.Add(mDegraded, 1)
-	}
 	writeJSON(w, resp)
 }
 
-// validateClassify enforces the request invariants before any work is
-// queued.
+// validateClassify enforces the request invariants before any work
+// starts.
 func validateClassify(req *ClassifyRequest) error {
 	hasVector := len(req.Vector) > 0
 	hasTrace := len(req.Trace) > 0
@@ -772,62 +752,127 @@ func (s *Server) verdictorFor(ctx context.Context, r *http.Request, key string) 
 	return verdictor{det: det}, dkey, err
 }
 
-// classifyOne performs one classification inside a batch slot.
-func (s *Server) classifyOne(vd verdictor, key string, req *ClassifyRequest) (*ClassifyResponse, error) {
-	if len(req.Trace) > 0 {
-		return s.classifyTrace(vd, key, req)
+// runStage runs one request's classify work on the handler goroutine:
+// a single deadline check before the work starts, and the single
+// fsml_stage_classify_seconds observation around it. Every classify
+// path goes through here; nothing queues.
+func (s *Server) runStage(ctx context.Context, work func() error) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return s.classifyVector(vd, key, req)
+	c0 := time.Now()
+	defer func() { s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds()) }()
+	return work()
 }
 
-// classifyVector classifies a pre-normalized event vector. The vector is
-// wrapped in a synthetic sample with an instruction normalizer of 1, so
-// the values pass through the detector's projection unchanged.
-func (s *Server) classifyVector(vd verdictor, key string, req *ClassifyRequest) (*ClassifyResponse, error) {
-	events := req.Events
+// classify is the classify pipeline every single-verdict request
+// shares — JSON vectors and traces, perf uploads, and binary trace
+// frames: build the pmu.Sample (wrap the vector, replay the trace, or
+// take the mapped perf capture), classify it, mirror the verdict to
+// the shadow scorer.
+func (s *Server) classify(ctx context.Context, vd verdictor, key string, req *ClassifyRequest, perf *perfCapture) (*ClassifyResponse, error) {
+	var resp *ClassifyResponse
+	err := s.runStage(ctx, func() error {
+		var m measurement
+		var err error
+		switch {
+		case perf != nil:
+			m.sample = perf.sample
+		case len(req.Trace) > 0:
+			m, err = s.replay(req.Trace, req.Seed)
+		default:
+			m.sample, err = vectorSample(vd, req.Events, req.Vector, req.SuspectEvents)
+		}
+		if err != nil {
+			return err
+		}
+		rr, paths, err := s.verdict(vd, key, m)
+		if err != nil {
+			return err
+		}
+		resp = &ClassifyResponse{
+			Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
+			Suspects: rr.Suspects, Detector: key, Seconds: m.seconds,
+			Pathologies: paths,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if perf != nil {
+		resp.PerfFormat, resp.UnmappedEvents = perf.format, perf.unmapped
+	}
+	if resp.Degraded {
+		s.metrics.Add(mDegraded, 1)
+	}
+	return resp, nil
+}
+
+// measurement is the sample a verdict is made on. kernels and seconds
+// are set for trace replays only: the replayable workload lets the
+// shadow scorer judge a disagreement against instrumentation ground
+// truth.
+type measurement struct {
+	sample  pmu.Sample
+	kernels []machine.Kernel
+	seconds float64
+}
+
+// verdict classifies one measurement and mirrors the authoritative
+// verdict to the shadow scorer. A sample the client supplied that does
+// not classify is a client error; a failed replay measurement is the
+// server's.
+func (s *Server) verdict(vd verdictor, key string, m measurement) (core.RobustResult, []ensemble.PathologyScore, error) {
+	rr, paths, err := vd.classify(m.sample)
+	if err != nil {
+		if m.kernels != nil {
+			return rr, nil, fmt.Errorf("classify: %w", err)
+		}
+		return rr, nil, badRequestf("classify: %v", err)
+	}
+	s.mirror(key, rr.Class, rr.Confidence, m.sample, m.kernels)
+	return rr, paths, nil
+}
+
+// vectorSample wraps a pre-normalized event vector in a synthetic
+// sample with an instruction normalizer of 1, so the values pass
+// through the detector's projection unchanged. Unnamed vectors take the
+// classifier's attribute order; suspect events are flagged stuck.
+func vectorSample(vd verdictor, events []string, vector []float64, suspects []string) (pmu.Sample, error) {
 	if len(events) == 0 {
 		events = vd.attrs()
-		if len(events) != len(req.Vector) {
-			return nil, badRequestf("classify: detector expects %d events, vector has %d (name them via events)", len(events), len(req.Vector))
+		if len(events) != len(vector) {
+			return pmu.Sample{}, badRequestf("classify: detector expects %d events, vector has %d (name them via events)", len(events), len(vector))
 		}
 	}
-	sample := pmu.Sample{Names: events, Counts: req.Vector, Instructions: 1}
-	if len(req.SuspectEvents) > 0 {
+	sample := pmu.Sample{Names: events, Counts: vector, Instructions: 1}
+	if len(suspects) > 0 {
 		idx := make(map[string]int, len(events))
 		for i, n := range events {
 			idx[n] = i
 		}
 		sample.Flags = make([]pmu.CountFlag, len(events))
-		for _, n := range req.SuspectEvents {
+		for _, n := range suspects {
 			i, ok := idx[n]
 			if !ok {
-				return nil, badRequestf("classify: suspect event %q is not in the vector", n)
+				return pmu.Sample{}, badRequestf("classify: suspect event %q is not in the vector", n)
 			}
 			sample.Flags[i] = pmu.FlagStuck
 		}
 	}
-	rr, paths, err := vd.classify(sample)
-	if err != nil {
-		return nil, badRequestf("classify: %v", err)
-	}
-	s.mirror(key, rr.Class, rr.Confidence, sample, nil)
-	return &ClassifyResponse{
-		Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-		Suspects: rr.Suspects, Detector: key, Pathologies: paths,
-	}, nil
+	return sample, nil
 }
 
-// classifyTrace replays an uploaded trace on a fresh simulated machine,
+// replay replays an uploaded trace on a fresh simulated machine and
 // measures it with the emulated PMU (under the server's fault config,
-// if any), and classifies the measurement. An unusable sample — possible
-// only under fault injection — gets re-seeded retries, mirroring the
-// offline collector.
-func (s *Server) classifyTrace(vd verdictor, key string, req *ClassifyRequest) (*ClassifyResponse, error) {
-	tr, err := trace.Parse(bytes.NewReader(req.Trace))
+// if any). An unusable sample — possible only under fault injection —
+// gets re-seeded retries, mirroring the offline collector.
+func (s *Server) replay(blob []byte, seed uint64) (measurement, error) {
+	tr, err := trace.Parse(bytes.NewReader(blob))
 	if err != nil {
-		return nil, badRequestf("classify: %v", err)
+		return measurement{}, badRequestf("classify: %v", err)
 	}
-	seed := req.Seed
 	if seed == 0 {
 		seed = 1
 	}
@@ -849,18 +894,7 @@ func (s *Server) classifyTrace(vd verdictor, key string, req *ClassifyRequest) (
 			break
 		}
 	}
-	rr, paths, err := vd.classify(obs.Sample)
-	if err != nil {
-		return nil, fmt.Errorf("classify: %w", err)
-	}
-	// Trace requests carry a replayable workload, so the shadow scorer
-	// can judge a disagreement against instrumentation ground truth.
-	s.mirror(key, rr.Class, rr.Confidence, obs.Sample, tr.Kernels())
-	return &ClassifyResponse{
-		Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-		Suspects: rr.Suspects, Detector: key, Seconds: obs.Seconds,
-		Pathologies: paths,
-	}, nil
+	return measurement{sample: obs.Sample, kernels: tr.Kernels(), seconds: obs.Seconds}, nil
 }
 
 // PerfContentType is the POST /v1/classify media type for raw perf
@@ -880,66 +914,43 @@ func isPerfUpload(r *http.Request) bool {
 	return strings.TrimSpace(ct) == PerfContentType
 }
 
-// classifyPerfUpload classifies a raw perf capture: parse (format
-// auto-detected), map onto the Table-2 feature space through the alias
-// table, and classify robustly — features the capture did not measure
-// degrade the verdict's confidence rather than failing the request.
-// The response carries the detected format and any unmapped events so
-// callers can tell how much of their capture was actually used.
-func (s *Server) classifyPerfUpload(w http.ResponseWriter, r *http.Request) {
+// perfCapture is a decoded perf upload: the capture mapped onto the
+// Table-2 feature space, plus what the response reports about how it
+// was read.
+type perfCapture struct {
+	sample   pmu.Sample
+	format   string
+	unmapped []string
+}
+
+// decodePerfUpload decodes a raw perf capture: parse (format
+// auto-detected) and map onto the Table-2 feature space through the
+// alias table. Features the capture did not measure are left to the
+// robust classifier, which degrades the verdict's confidence rather
+// than failing the request. The detector key and deadline come from the
+// query string into req.
+func decodePerfUpload(w http.ResponseWriter, r *http.Request, req *ClassifyRequest) (*perfCapture, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, badRequestf("classify: reading perf upload: %v", err))
-		return
+		return nil, badRequestf("classify: reading perf upload: %v", err)
 	}
 	rep, err := perfingest.Parse(bytes.NewReader(body))
 	if err != nil {
-		s.writeError(w, badRequestf("classify: %v", err))
-		return
+		return nil, badRequestf("classify: %v", err)
 	}
 	sample, mapping, err := rep.Sample()
 	if err != nil {
-		s.writeError(w, badRequestf("classify: %v", err))
-		return
+		return nil, badRequestf("classify: %v", err)
 	}
 	q := r.URL.Query()
-	var timeoutMS int64
 	if v := q.Get("timeout_ms"); v != "" {
-		timeoutMS, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || timeoutMS < 0 {
-			s.writeError(w, badRequestf("classify: bad timeout_ms %q", v))
-			return
+		req.TimeoutMS, err = strconv.ParseInt(v, 10, 64)
+		if err != nil || req.TimeoutMS < 0 {
+			return nil, badRequestf("classify: bad timeout_ms %q", v)
 		}
 	}
-	ctx, cancel := s.reqContext(r, timeoutMS)
-	defer cancel()
-	vd, key, err := s.verdictorFor(ctx, r, q.Get("detector"))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.batcher.Submit(ctx, func() (*ClassifyResponse, error) {
-		c0 := time.Now()
-		defer func() { s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds()) }()
-		rr, paths, err := vd.classify(sample)
-		if err != nil {
-			return nil, badRequestf("classify: %v", err)
-		}
-		s.mirror(key, rr.Class, rr.Confidence, sample, nil)
-		return &ClassifyResponse{
-			Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-			Suspects: rr.Suspects, Detector: key, Pathologies: paths,
-			PerfFormat: string(rep.Format), UnmappedEvents: mapping.Unmapped,
-		}, nil
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if resp.Degraded {
-		s.metrics.Add(mDegraded, 1)
-	}
-	writeJSON(w, resp)
+	req.Detector = q.Get("detector")
+	return &perfCapture{sample: sample, format: string(rep.Format), unmapped: mapping.Unmapped}, nil
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -2,8 +2,8 @@ package serve
 
 // Tests of the serving layer. The hot paths run against a tiny
 // hand-built detector (deterministic, trains in microseconds) so the
-// suite exercises batching, the registry, and the wire format without
-// paying for a full training sweep.
+// suite exercises concurrent classification, the registry, and the wire
+// format without paying for a full training sweep.
 
 import (
 	"bytes"
@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,7 +67,7 @@ func tinyDetector(t testing.TB) *core.Detector {
 // newTestServer builds a server around the tiny detector (unless cfg
 // already injects a trainer) and mounts it on an httptest listener.
 // Admission control is off unless the test opts in with an explicit
-// MaxInflight, so burst tests exercise batching rather than shedding.
+// MaxInflight, so burst tests exercise concurrency rather than shedding.
 func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
 	if cfg.Train == nil {
@@ -78,10 +79,7 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	}
 	s := New(cfg)
 	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.batcher.Close()
-	})
+	t.Cleanup(hs.Close)
 	return s, NewClient(hs.URL)
 }
 
@@ -443,142 +441,6 @@ func TestRegistryEviction(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Batcher
-
-// TestBatcherGroupsBurst submits a burst inside one generous linger
-// window and asserts it executes as fewer batches than jobs, with every
-// job answered.
-func TestBatcherGroupsBurst(t *testing.T) {
-	m := NewMetrics()
-	b := NewBatcher(8, time.Second, 0, m)
-	defer b.Close()
-	const jobs = 8
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := b.Submit(context.Background(), func() (*ClassifyResponse, error) {
-				return &ClassifyResponse{Class: fmt.Sprintf("job-%d", i)}, nil
-			})
-			if err != nil || resp.Class != fmt.Sprintf("job-%d", i) {
-				t.Errorf("job %d: (%+v, %v)", i, resp, err)
-				return
-			}
-			done.Add(1)
-		}(i)
-	}
-	wg.Wait()
-	if done.Load() != jobs {
-		t.Fatalf("answered %d/%d jobs", done.Load(), jobs)
-	}
-	if batches := m.HistogramCount(mBatchSize); batches == 0 || batches >= jobs {
-		t.Errorf("burst of %d ran as %d batches, want grouping (1..%d)", jobs, batches, jobs-1)
-	}
-}
-
-// TestBatcherSubmitAfterClose pins the shutdown contract.
-func TestBatcherSubmitAfterClose(t *testing.T) {
-	b := NewBatcher(4, 0, 0, nil)
-	b.Close()
-	_, err := b.Submit(context.Background(), func() (*ClassifyResponse, error) {
-		return &ClassifyResponse{}, nil
-	})
-	if !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("Submit after Close = %v, want ErrShuttingDown", err)
-	}
-}
-
-// TestBatcherZeroLingerFlushesImmediately pins the linger<=0 edge: a
-// lone job must not wait for batch-mates — it executes as a batch of
-// one as soon as the loop picks it up.
-func TestBatcherZeroLingerFlushesImmediately(t *testing.T) {
-	m := NewMetrics()
-	b := NewBatcher(8, 0, 0, m)
-	defer b.Close()
-	start := time.Now()
-	resp, err := b.Submit(context.Background(), func() (*ClassifyResponse, error) {
-		return &ClassifyResponse{Class: "solo"}, nil
-	})
-	if err != nil || resp.Class != "solo" {
-		t.Fatalf("solo job: (%+v, %v)", resp, err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("zero-linger job waited %v for batch-mates", elapsed)
-	}
-	if batches := m.HistogramCount(mBatchSize); batches != 1 {
-		t.Fatalf("ran %d batches, want 1", batches)
-	}
-}
-
-// TestBatcherFlushesAtSizeBoundary pins the size-trigger edge: exactly
-// MaxBatch jobs execute as one full batch the moment the last one
-// arrives, without waiting out a generous linger window.
-func TestBatcherFlushesAtSizeBoundary(t *testing.T) {
-	const max = 4
-	m := NewMetrics()
-	b := NewBatcher(max, 10*time.Second, 0, m)
-	defer b.Close()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < max; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := b.Submit(context.Background(), func() (*ClassifyResponse, error) {
-				return &ClassifyResponse{Class: fmt.Sprintf("job-%d", i)}, nil
-			})
-			if err != nil || resp.Class != fmt.Sprintf("job-%d", i) {
-				t.Errorf("job %d: (%+v, %v)", i, resp, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("full batch took %v, want execution at the size boundary, not linger expiry", elapsed)
-	}
-	if batches := m.HistogramCount(mBatchSize); batches != 1 {
-		t.Fatalf("ran %d batches, want exactly 1 full batch", batches)
-	}
-}
-
-// TestBatcherCloseFlushesPartialBatch pins the drain edge: jobs parked
-// in a half-formed batch (linger far from expiring) are executed and
-// answered when Close lands, and Close does not wait out the linger.
-func TestBatcherCloseFlushesPartialBatch(t *testing.T) {
-	const jobs = 3
-	m := NewMetrics()
-	b := NewBatcher(8, 10*time.Minute, 0, m)
-	var wg sync.WaitGroup
-	var answered atomic.Int64
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := b.Submit(context.Background(), func() (*ClassifyResponse, error) {
-				return &ClassifyResponse{Class: fmt.Sprintf("job-%d", i)}, nil
-			})
-			if err != nil || resp.Class != fmt.Sprintf("job-%d", i) {
-				t.Errorf("job %d: (%+v, %v)", i, resp, err)
-				return
-			}
-			answered.Add(1)
-		}(i)
-	}
-	time.Sleep(50 * time.Millisecond) // let every job enqueue into the forming batch
-	start := time.Now()
-	b.Close()
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Close took %v, want an immediate partial-batch flush", elapsed)
-	}
-	if answered.Load() != jobs {
-		t.Fatalf("answered %d/%d queued jobs across Close", answered.Load(), jobs)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // HTTP API
 
 // vectorRequest builds the i-th deterministic classify request of the
@@ -618,16 +480,14 @@ func sampleOf(req ClassifyRequest) pmu.Sample {
 	return s
 }
 
-// TestServeBatchedMatchesSequential is the acceptance test: >= 64
-// parallel requests through the batched path must produce verdicts
-// identical to sequential single-shot classification, the batch-size
-// histogram must be populated, and the shared default detector must
-// score registry cache hits.
-func TestServeBatchedMatchesSequential(t *testing.T) {
+// TestServeConcurrentMatchesSequential is the acceptance test: >= 64
+// parallel requests classified inline on their handler goroutines must
+// produce verdicts identical to sequential single-shot classification,
+// and the shared default detector must score registry cache hits. Run
+// under -race it covers inline classification against the registry.
+func TestServeConcurrentMatchesSequential(t *testing.T) {
 	det := tinyDetector(t)
 	s, client := newTestServer(t, Config{
-		MaxBatch:    16,
-		Linger:      5 * time.Millisecond,
 		Parallelism: 4,
 		Train:       func(TrainSpec) (*core.Detector, error) { return det, nil },
 	})
@@ -657,14 +517,53 @@ func TestServeBatchedMatchesSequential(t *testing.T) {
 		}
 		if got[i].Class != want.Class || got[i].Confidence != want.Confidence ||
 			got[i].Degraded != want.Degraded || !equalStrings(got[i].Suspects, want.Suspects) {
-			t.Errorf("request %d: batched verdict %+v != sequential %+v", i, got[i], want)
+			t.Errorf("request %d: concurrent verdict %+v != sequential %+v", i, got[i], want)
 		}
-	}
-	if c := s.Metrics().HistogramCount(mBatchSize); c == 0 {
-		t.Error("batch-size histogram is empty after a 96-request burst")
 	}
 	if hits := s.Metrics().Counter(mRegistryHits); hits < 1 {
 		t.Errorf("registry hits = %d, want >= 1 (shared default detector)", hits)
+	}
+}
+
+// TestClassifyNotQueuedBehindReplay pins inline classification: while
+// a long trace replay holds one admission slot, vector classifies sent
+// one after another on a second connection all return before the
+// replay does. Nothing shared serializes requests; the admission
+// limiter is the only bound on concurrency.
+func TestClassifyNotQueuedBehindReplay(t *testing.T) {
+	s, replayClient := newTestServer(t, Config{MaxInflight: 4})
+	vecClient := NewClient(replayClient.BaseURL)
+	vecClient.HTTPClient = &http.Client{Transport: &http.Transport{}} // its own connection
+	ctx := context.Background()
+	if _, err := vecClient.Classify(ctx, vectorRequest(0)); err != nil {
+		t.Fatal(err) // warm the registry so no request below trains
+	}
+
+	// Two threads storing to one cache line, millions of times each.
+	heavy := []byte("T0 S 0x1000 x3000000\nT1 S 0x1008 x3000000\n")
+	replayDone := make(chan time.Time, 1)
+	go func() {
+		if _, err := replayClient.Classify(ctx, ClassifyRequest{Trace: heavy}); err != nil {
+			t.Errorf("replay: %v", err)
+		}
+		replayDone <- time.Now()
+	}()
+	for s.limClassify.Inflight() == 0 {
+		runtime.Gosched() // until the replay holds its admission slot
+	}
+
+	const n = 4
+	var lastVector time.Time
+	for i := 0; i < n; i++ {
+		if _, err := vecClient.Classify(ctx, vectorRequest(i)); err != nil {
+			t.Fatalf("vector %d: %v", i, err)
+		}
+		lastVector = time.Now()
+	}
+	replayEnd := <-replayDone
+	t.Logf("replay returned %v after the last vector", replayEnd.Sub(lastVector))
+	if !lastVector.Before(replayEnd) {
+		t.Errorf("vector classifies returned %v after the replay: queued behind it", lastVector.Sub(replayEnd))
 	}
 }
 
@@ -682,8 +581,7 @@ func equalStrings(a, b []string) bool {
 
 // TestClassifyGoldenWire pins the classify wire format byte for byte —
 // including the Degraded/Confidence/Suspects fields of a flagged-counter
-// request — and asserts the bytes are identical across parallelism and
-// batching configurations. Regenerate with: go test ./internal/serve -run
+// request. Regenerate with: go test ./internal/serve -run
 // TestClassifyGoldenWire -update
 func TestClassifyGoldenWire(t *testing.T) {
 	reqBody := `{
@@ -691,36 +589,25 @@ func TestClassifyGoldenWire(t *testing.T) {
   "vector": [0.52, 0.06],
   "suspect_events": ["` + attrHITM + `"]
 }`
-	configs := []Config{
-		{MaxBatch: 1},
-		{MaxBatch: 8, Linger: 2 * time.Millisecond, Parallelism: 8},
+	_, client := newTestServer(t, Config{})
+	resp, err := http.Post(client.BaseURL+"/v1/classify", "application/json", strings.NewReader(reqBody))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var bodies [][]byte
-	for _, cfg := range configs {
-		_, client := newTestServer(t, cfg)
-		resp, err := http.Post(client.BaseURL+"/v1/classify", "application/json", strings.NewReader(reqBody))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		bodies = append(bodies, body)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatalf("response bytes differ across configs:\n%s\nvs\n%s", bodies[0], bodies[1])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	golden := filepath.Join("testdata", "classify_degraded.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, bodies[0], 0o644); err != nil {
+		if err := os.WriteFile(golden, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -728,12 +615,12 @@ func TestClassifyGoldenWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(bodies[0], want) {
-		t.Errorf("wire format drifted from golden:\ngot:\n%s\nwant:\n%s", bodies[0], want)
+	if !bytes.Equal(body, want) {
+		t.Errorf("wire format drifted from golden:\ngot:\n%s\nwant:\n%s", body, want)
 	}
 	// The golden response must actually exercise the degraded fields.
 	var parsed ClassifyResponse
-	if err := json.Unmarshal(bodies[0], &parsed); err != nil {
+	if err := json.Unmarshal(body, &parsed); err != nil {
 		t.Fatal(err)
 	}
 	if !parsed.Degraded || parsed.Confidence >= 1 || len(parsed.Suspects) != 1 {
@@ -879,7 +766,7 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range []string{mReqClassify, mBatchSize + "_count"} {
+	for _, series := range []string{mReqClassify, mClassifySec + "_count"} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("metrics exposition missing %s:\n%s", series, metrics)
 		}
@@ -895,20 +782,29 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// TestShutdownHonorsDeadline pins the bounded drain: a classify job
-// stuck in the batcher must not hang Shutdown past its ctx deadline.
+// TestShutdownHonorsDeadline pins the bounded drain: an admitted
+// classify handler stuck in lazy training must not hang Shutdown past
+// its ctx deadline.
 func TestShutdownHonorsDeadline(t *testing.T) {
-	s := New(Config{Train: func(TrainSpec) (*core.Detector, error) { return tinyDetector(t), nil }})
+	det := tinyDetector(t)
 	release := make(chan struct{})
-	defer close(release) // let the stuck job (and drain goroutine) finish
 	running := make(chan struct{})
+	s, client := newTestServer(t, Config{Train: func(TrainSpec) (*core.Detector, error) {
+		close(running)
+		<-release
+		return det, nil
+	}})
+	handlerDone := make(chan struct{})
 	go func() {
-		_, _ = s.batcher.Submit(context.Background(), func() (*ClassifyResponse, error) {
-			close(running)
-			<-release
-			return &ClassifyResponse{}, nil
-		})
+		defer close(handlerDone)
+		_, _ = client.Classify(context.Background(), vectorRequest(0))
 	}()
+	// Registered after newTestServer's cleanup, so it runs first: the
+	// stuck handler finishes before the test listener closes.
+	t.Cleanup(func() {
+		close(release)
+		<-handlerDone
+	})
 	<-running
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -938,45 +834,26 @@ func TestErrorLatencyObserved(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Benchmarks
 
-// BenchmarkServeClassify measures classify round trips with batching off
-// and on (results recorded in EXPERIMENTS.md).
+// BenchmarkServeClassify measures concurrent JSON classify round trips
+// (results recorded in EXPERIMENTS.md).
 func BenchmarkServeClassify(b *testing.B) {
-	det := tinyDetector(b)
-	for _, bc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"unbatched", Config{MaxBatch: 1, MaxInflight: -1}},
-		{"batched16", Config{MaxBatch: 16, Linger: 200 * time.Microsecond, Parallelism: 4, MaxInflight: -1}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := bc.cfg
-			cfg.Train = func(TrainSpec) (*core.Detector, error) { return det, nil }
-			s := New(cfg)
-			hs := httptest.NewServer(s.Handler())
-			defer func() {
-				hs.Close()
-				s.batcher.Close()
-			}()
-			client := NewClient(hs.URL)
-			// Warm the registry outside the timer.
-			if _, err := client.Classify(context.Background(), vectorRequest(1)); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.SetParallelism(8)
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := client.Classify(context.Background(), vectorRequest(i)); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
+	_, client := newTestServer(b, Config{})
+	// Warm the registry outside the timer.
+	if _, err := client.Classify(context.Background(), vectorRequest(1)); err != nil {
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	b.SetParallelism(8)
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, err := client.Classify(context.Background(), vectorRequest(i)); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

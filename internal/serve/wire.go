@@ -5,14 +5,14 @@ package serve
 // JSON half: field order in the structs is the serialization order,
 // and every response is rendered with encoding/json defaults —
 // together with the deterministic simulator this makes responses
-// byte-identical across parallelism levels and batch compositions,
-// which the golden wire test pins.
+// byte-identical across parallelism levels and concurrent load, which
+// the golden wire test pins.
 //
 // Binary half (POST /v1/classify-bin): the opt-in hot-path protocol.
 // One frame is a u32 little-endian payload length followed by the
 // payload; payloads start with the magic "FSB1" and a kind byte. A
-// request carries either a micro-batch of vectors sharing one event
-// layout or one trace; a response carries an interned class table and
+// request carries either a batch of vectors sharing one event layout
+// or one trace; a response carries an interned class table and
 // fixed-width per-vector verdicts, so neither side pays JSON
 // encode/decode or per-verdict string duplication. Encoders append
 // into pooled buffers; decoders return typed *FrameError values and
@@ -271,7 +271,7 @@ func (e *FrameError) Error() string {
 }
 
 // BinClassifyRequest is the binary twin of ClassifyRequest, batched: a
-// micro-batch of vectors sharing one event layout, or one trace.
+// batch of vectors sharing one event layout, or one trace.
 // Exactly one of Vecs or Trace must be set.
 type BinClassifyRequest struct {
 	// Detector is the registry key ("" = server default).
