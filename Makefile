@@ -28,14 +28,22 @@ race:
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzParseTrace -fuzztime 30s
 
-# fuzz-smoke is the CI leg: a 10s fuzz of each ingestion parser (access
-# traces and perf output) with the unit tests filtered out, so
-# regressions in their robustness surface on every push.
+# fuzz-smoke is the CI leg (the same targets as ci.sh): a 10s fuzz of
+# each ingestion parser (access traces — alone and against the reference
+# parser — and perf output), the spec parsers, the simulator's
+# invariants, flat-vs-pointer tree inference and binary frame decoding,
+# with the unit tests filtered out, so regressions in their robustness
+# surface on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
+	$(GO) test -run '^$$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle
 	$(GO) test -run '^$$' -fuzz FuzzParseEnsembleSpec -fuzztime 10s ./internal/ensemble
+	$(GO) test -run '^$$' -fuzz FuzzFlatVsPointerTree -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
 
 # bench records the parallel-vs-sequential engine numbers (see
 # EXPERIMENTS.md).
@@ -51,7 +59,9 @@ bench:
 # lifecycle shadow-mirroring costs the classify hot path (absent vs
 # armed-idle vs actively shadowing); BENCH_10.json — what the
 # multi-pathology ensemble costs per classify next to the single
-# 3-class tree.
+# 3-class tree; BENCH_16.json — the trace-replay layers (parse of the
+# benchmark's six gzipped 20k-record traces, their replay on fresh
+# machines) and simulator throughput.
 bench-snapshot:
 	$(GO) run ./cmd/benchsnap -o BENCH_6.json \
 	    -bench 'FlatPredict|ClassifyBatch|DetectorClassify|ServeClassify' \
@@ -64,6 +74,8 @@ bench-snapshot:
 	    -bench 'ShadowMirror' ./internal/serve
 	$(GO) run ./cmd/benchsnap -o BENCH_10.json \
 	    -bench 'EnsembleClassify|DetectorClassify' ./internal/ensemble
+	$(GO) run ./cmd/benchsnap -o BENCH_16.json \
+	    -bench 'TraceParse|TraceReplay|MachineRunThroughput' ./internal/trace .
 
 # serve-smoke exercises the detection server's full lifecycle: bind an
 # ephemeral port, health-check, register a model, classify through the

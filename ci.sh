@@ -5,6 +5,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go test ./...
 go test -race -count=1 ./internal/sched ./internal/core ./internal/suite \
     ./internal/trace ./internal/mem ./internal/xrand ./internal/faults \
@@ -22,6 +23,12 @@ go test -race -count=1 -run TestChaos ./internal/serve ./internal/fleet
 # race detector.
 go test -race -count=10 -run 'TestServeConcurrentMatchesSequential|TestChaosDriftRetrainPromoteRollback' ./internal/serve
 go test -run '^$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
+# The byte-level trace parser must accept the same traces and fail with
+# the same errors as the strings-based reference parser.
+go test -run '^$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/trace
+# Arbitrary access mixes keep the simulator's coherence invariants and
+# counter identities after every scheduling round.
+go test -run '^$' -fuzz FuzzMachine -fuzztime 10s ./internal/machine
 go test -run '^$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
 go test -run '^$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream
 go test -run '^$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle

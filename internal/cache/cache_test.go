@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fsml/internal/mem"
 	"fsml/internal/xrand"
@@ -538,5 +539,40 @@ func TestCounterWidthTaps(t *testing.T) {
 	}
 	if got := WrapCounter(1<<63, 64); got != 1<<63 {
 		t.Errorf("WrapCounter 64-bit wrapped: %d", got)
+	}
+}
+
+// TestArrayAllocatesSetsOnFirstFill pins the lazy layout: probing sets
+// no line ever filled allocates nothing and finds nothing, and only a
+// fill materialises its chunk of sets.
+func TestArrayAllocatesSetsOnFirstFill(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 32 {
+		t.Errorf("line is %d bytes, want 32", got)
+	}
+	a := newArray(12<<20, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		for addr := uint64(0); addr < 1<<16; addr += 97 {
+			if a.lookup(addr) != nil || a.peek(addr) != nil || a.invalidate(addr) != Invalid {
+				t.Fatal("untouched set reported a line")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("probing untouched sets allocated %.0f times", allocs)
+	}
+	for i, ch := range a.chunks {
+		if ch != nil {
+			t.Fatalf("chunk %d allocated by probes alone", i)
+		}
+	}
+	a.install(a.victim(5), 5, Exclusive)
+	var live int
+	for _, ch := range a.chunks {
+		if ch != nil {
+			live++
+		}
+	}
+	if live != 1 || a.peek(5) == nil {
+		t.Errorf("after one fill: %d chunks allocated, peek found line: %v", live, a.peek(5) != nil)
 	}
 }

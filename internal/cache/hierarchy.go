@@ -108,8 +108,9 @@ func New(cfg Config, ncores int) *Hierarchy {
 	}
 	for i := range h.cores {
 		h.cores[i] = priv{
-			l1: newArray(cfg.L1Size, cfg.L1Ways),
-			l2: newArray(cfg.L2Size, cfg.L2Ways),
+			l1:  newArray(cfg.L1Size, cfg.L1Ways),
+			l2:  newArray(cfg.L2Size, cfg.L2Ways),
+			lfb: make([]pendingFill, 0, lfbEntries),
 		}
 	}
 	return h
@@ -200,9 +201,11 @@ func (h *Hierarchy) queueFill(c int, lineAddr uint64, st State) {
 		return
 	}
 	if len(p.lfb) >= lfbEntries {
-		// Out of fill buffers: retire the oldest entry now.
+		// Out of fill buffers: retire the oldest entry now. Shifting in
+		// place (rather than reslicing past it) keeps the buffer's
+		// backing array, so a steady stream of fills never reallocates.
 		h.installL1(c, p.lfb[0].line, p.lfb[0].state)
-		p.lfb = p.lfb[1:]
+		p.lfb = p.lfb[:copy(p.lfb, p.lfb[1:])]
 	}
 	p.lfb = append(p.lfb, pendingFill{line: lineAddr, readyAt: p.ops + uint64(h.cfg.LFBWindow), state: st})
 }
@@ -225,9 +228,10 @@ func (h *Hierarchy) installL1(c int, lineAddr uint64, st State) {
 }
 
 // installL2 brings a line into core c's L2 with the given state, handling
-// victim writeback, L1 back-invalidation, and directory upkeep.
+// victim writeback, L1 back-invalidation, and directory upkeep: l3l is
+// the line's L3 slot (ensureL3's result), which gains c's directory bit.
 // When pf is true the fill is attributed to the prefetcher.
-func (h *Hierarchy) installL2(c int, lineAddr uint64, st State, pf bool) *line {
+func (h *Hierarchy) installL2(c int, lineAddr uint64, st State, pf bool, l3l *line) {
 	p := &h.cores[c]
 	slot := p.l2.victim(lineAddr)
 	if slot.state != Invalid {
@@ -247,8 +251,7 @@ func (h *Hierarchy) installL2(c int, lineAddr uint64, st State, pf bool) *line {
 	case Modified:
 		h.add(c, EvL2LinesInM, 1)
 	}
-	h.setDirBit(lineAddr, c)
-	return slot
+	l3l.mask |= 1 << uint(c)
 }
 
 // evictL2Victim writes back / invalidates one valid L2 line of core c.
@@ -257,27 +260,33 @@ func (h *Hierarchy) evictL2Victim(c int, v *line) {
 	// Inclusivity: the L1 copy and any pending fill must go too.
 	p.l1.invalidate(v.tag)
 	p.dropLFB(v.tag)
-	if v.state == Modified {
+	dirty := v.state == Modified
+	if dirty {
 		h.add(c, EvL2LinesOutDirty, 1)
-		h.markL3Dirty(v.tag)
 	} else {
 		h.add(c, EvL2LinesOutClean, 1)
 	}
-	h.clearDirBit(v.tag, c)
+	// The line is in L3 by inclusivity; a dirty victim writes back to it.
+	if l3l := h.l3.peek(v.tag); l3l != nil {
+		if dirty {
+			l3l.state = Modified
+		}
+		l3l.mask &^= 1 << uint(c)
+	}
 	v.state = Invalid
 }
 
 // ---------------------------------------------------------------------------
 // L3 directory
 
-// l3Entry returns the L3 slot for lineAddr, or nil.
-func (h *Hierarchy) l3Entry(lineAddr uint64) *line { return h.l3.peek(lineAddr) }
-
 // ensureL3 guarantees an L3 slot for lineAddr, filling from memory
-// semantics (the caller counts the memory read). Returns the slot.
-func (h *Hierarchy) ensureL3(c int, lineAddr uint64) *line {
-	if l := h.l3.lookup(lineAddr); l != nil {
-		return l
+// semantics (the caller counts the memory read). l3l is the caller's
+// peek of the line's slot: a present line only has its LRU refreshed.
+// Returns the slot.
+func (h *Hierarchy) ensureL3(c int, lineAddr uint64, l3l *line) *line {
+	if l3l != nil {
+		h.l3.touch(l3l)
+		return l3l
 	}
 	slot := h.l3.victim(lineAddr)
 	if slot.state != Invalid {
@@ -312,26 +321,6 @@ func (h *Hierarchy) evictL3Victim(c int, v *line) {
 	h.add(c, EvL3LinesOut, 1)
 	v.state = Invalid
 	v.mask = 0
-}
-
-// markL3Dirty records that L3 now holds data newer than memory. The line
-// is present by inclusivity whenever a private cache writes back to it.
-func (h *Hierarchy) markL3Dirty(lineAddr uint64) {
-	if l := h.l3.peek(lineAddr); l != nil {
-		l.state = Modified
-	}
-}
-
-func (h *Hierarchy) setDirBit(lineAddr uint64, c int) {
-	if l := h.l3.peek(lineAddr); l != nil {
-		l.mask |= 1 << uint(c)
-	}
-}
-
-func (h *Hierarchy) clearDirBit(lineAddr uint64, c int) {
-	if l := h.l3.peek(lineAddr); l != nil {
-		l.mask &^= 1 << uint(c)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -386,13 +375,14 @@ func (h *Hierarchy) qpiPenalty(res snoopResult) int {
 	return 0
 }
 
-// snoop interrogates the directory for lineAddr on behalf of core c.
-// For an RFO every peer copy is invalidated; for a read, M and E owners
-// are downgraded to Shared. Snoop responses are counted at the requester,
-// matching SNOOP_RESPONSE.* semantics on Westmere.
-func (h *Hierarchy) snoop(c int, lineAddr uint64, rfo bool) snoopResult {
+// snoop interrogates the directory for lineAddr on behalf of core c;
+// l3l is the line's L3 slot, nil if L3 does not hold it. For an RFO
+// every peer copy is invalidated; for a read, M and E owners are
+// downgraded to Shared, and a Modified owner writes back to L3. Snoop
+// responses are counted at the requester, matching SNOOP_RESPONSE.*
+// semantics on Westmere.
+func (h *Hierarchy) snoop(c int, lineAddr uint64, l3l *line, rfo bool) snoopResult {
 	var res snoopResult
-	l3l := h.l3.peek(lineAddr)
 	if l3l == nil {
 		return res
 	}
@@ -414,7 +404,7 @@ func (h *Hierarchy) snoop(c int, lineAddr uint64, rfo bool) snoopResult {
 			res.hadM = true
 			h.add(c, EvSnoopHitM, 1)
 			h.add(c, EvUncoreOtherCoreHITM, 1)
-			h.markL3Dirty(lineAddr)
+			l3l.state = Modified
 		case Exclusive:
 			res.hadE = true
 			h.add(c, EvSnoopHitE, 1)
@@ -428,7 +418,7 @@ func (h *Hierarchy) snoop(c int, lineAddr uint64, rfo bool) snoopResult {
 		if rfo {
 			p.dropLFB(lineAddr)
 			p.l1.invalidate(lineAddr)
-			p.l2.invalidate(lineAddr)
+			l2l.state = Invalid
 			l3l.mask &^= 1 << uint(hc)
 		} else if l2l.state == Modified || l2l.state == Exclusive {
 			l2l.state = Shared
@@ -485,8 +475,8 @@ func (h *Hierarchy) Load(c int, addr uint64) int {
 	h.add(c, EvL2DemandI, 1)
 	h.add(c, EvOffcoreDemandRD, 1)
 
-	res := h.snoop(c, lineAddr, false)
-	l3Present := h.l3.peek(lineAddr) != nil
+	l3l := h.l3.peek(lineAddr)
+	res := h.snoop(c, lineAddr, l3l, false)
 
 	var lat int
 	var st State
@@ -497,7 +487,7 @@ func (h *Hierarchy) Load(c int, addr uint64) int {
 	case res.hadE || res.hadS:
 		lat, st = LatSnoop, Shared
 		h.add(c, EvL3Hit, 1)
-	case l3Present:
+	case l3l != nil:
 		lat, st = LatL3, Exclusive
 		h.add(c, EvL3Hit, 1)
 	default:
@@ -510,9 +500,8 @@ func (h *Hierarchy) Load(c int, addr uint64) int {
 		// MSI has no Exclusive state: clean fills are always Shared.
 		st = Shared
 	}
-	h.ensureL3(c, lineAddr)
-	h.installL2(c, lineAddr, st, false)
-	h.setDirBit(lineAddr, c)
+	l3l = h.ensureL3(c, lineAddr, l3l)
+	h.installL2(c, lineAddr, st, false, l3l)
 	h.queueFill(c, lineAddr, st)
 	h.maybePrefetch(c, lineAddr)
 	return lat
@@ -576,8 +565,8 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 	h.add(c, EvL2DemandI, 1)
 	h.add(c, EvOffcoreRFO, 1)
 
-	res := h.snoop(c, lineAddr, true)
-	l3Present := h.l3.peek(lineAddr) != nil
+	l3l := h.l3.peek(lineAddr)
+	res := h.snoop(c, lineAddr, l3l, true)
 
 	var lat int
 	switch {
@@ -587,7 +576,7 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 	case res.hadE || res.hadS:
 		lat = LatSnoop
 		h.add(c, EvL3Hit, 1)
-	case l3Present:
+	case l3l != nil:
 		lat = LatL3
 		h.add(c, EvL3Hit, 1)
 	default:
@@ -596,10 +585,9 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 		h.add(c, EvMemReads, 1)
 	}
 	lat += h.qpiPenalty(res)
-	h.ensureL3(c, lineAddr)
-	h.markL3Dirty(lineAddr)
-	h.installL2(c, lineAddr, Modified, false)
-	h.setDirBit(lineAddr, c)
+	l3l = h.ensureL3(c, lineAddr, l3l)
+	l3l.state = Modified
+	h.installL2(c, lineAddr, Modified, false, l3l)
 	h.installL1(c, lineAddr, Modified)
 	return lat
 }
@@ -609,7 +597,9 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 func (h *Hierarchy) upgrade(c int, lineAddr uint64) int {
 	p := &h.cores[c]
 	h.add(c, EvL2RFOHitS, 1)
-	h.snoop(c, lineAddr, true)
+	// c holds the line, so L3 does too (inclusivity).
+	l3l := h.l3.peek(lineAddr)
+	h.snoop(c, lineAddr, l3l, true)
 	if l2l := p.l2.peek(lineAddr); l2l != nil {
 		l2l.state = Modified
 	}
@@ -618,7 +608,9 @@ func (h *Hierarchy) upgrade(c int, lineAddr uint64) int {
 	} else {
 		h.installL1(c, lineAddr, Modified)
 	}
-	h.markL3Dirty(lineAddr)
+	if l3l != nil {
+		l3l.state = Modified
+	}
 	return LatUpgrade
 }
 
@@ -672,18 +664,18 @@ func (h *Hierarchy) prefetchNext(c int, lineAddr uint64) {
 	}
 	// Never steal a line another core holds: the real prefetcher drops
 	// requests that would require a coherence transaction.
-	if l3l := h.l3.peek(next); l3l != nil && l3l.mask&^(1<<uint(c)) != 0 {
+	l3l := h.l3.peek(next)
+	if l3l != nil && l3l.mask&^(1<<uint(c)) != 0 {
 		return
 	}
-	if h.l3.peek(next) == nil {
+	if l3l == nil {
 		h.add(c, EvMemReads, 1)
 	}
 	st := Exclusive
 	if h.cfg.MSI {
 		st = Shared
 	}
-	h.ensureL3(c, next)
-	h.installL2(c, next, st, true)
+	h.installL2(c, next, st, true, h.ensureL3(c, next, l3l))
 }
 
 // ---------------------------------------------------------------------------

@@ -319,11 +319,23 @@ type Execution struct {
 	offset      int
 	rotateEvery int
 	rounds      uint64
+	// ctx is rebound for every scheduling turn. Kernels receive it
+	// through an interface call, so a per-turn Ctx would be a heap
+	// allocation per turn; one per execution is not.
+	ctx Ctx
+	// startCycles holds per-core cycle counts at the start of a slice.
+	startCycles []uint64
 }
 
 // StartExecution prepares a run without executing anything yet.
 func (m *Machine) StartExecution(kernels []Kernel) *Execution {
-	e := &Execution{m: m, kernels: kernels, done: make([]bool, len(kernels)), remaining: len(kernels)}
+	e := &Execution{
+		m:           m,
+		kernels:     kernels,
+		done:        make([]bool, len(kernels)),
+		remaining:   len(kernels),
+		startCycles: make([]uint64, m.cfg.Cores),
+	}
 	if len(kernels) > 0 {
 		e.offset = m.rng.Intn(len(kernels))
 		e.rotateEvery = 64 + m.rng.Intn(64)
@@ -345,7 +357,7 @@ func (e *Execution) Run(maxSliceRounds int) (RunResult, bool) {
 	if e.remaining == 0 {
 		return RunResult{}, true
 	}
-	startCycles := make([]uint64, m.cfg.Cores)
+	startCycles := e.startCycles
 	copy(startCycles, m.cycles)
 	startInstr := m.instructions()
 
@@ -368,8 +380,8 @@ func (e *Execution) Run(maxSliceRounds int) (RunResult, bool) {
 				continue
 			}
 			core := m.coreOf(i)
-			ctx := Ctx{m: m, core: core, thread: i, budget: m.cfg.Quantum}
-			if e.kernels[i].Step(&ctx) {
+			e.ctx = Ctx{m: m, core: core, thread: i, budget: m.cfg.Quantum}
+			if e.kernels[i].Step(&e.ctx) {
 				e.done[i] = true
 				e.remaining--
 			}

@@ -345,10 +345,10 @@ func TestParseRetryAfterForms(t *testing.T) {
 		{"7", 7 * time.Second},
 		{"-3", 0}, // negative delay: clamp, don't wait
 		{"soon", 0},
-		{"Sat, 08 Aug 2026 09:00:45 GMT", 45 * time.Second},  // IMF-fixdate
+		{"Sat, 08 Aug 2026 09:00:45 GMT", 45 * time.Second},    // IMF-fixdate
 		{"Saturday, 08-Aug-26 09:01:30 GMT", 90 * time.Second}, // RFC 850
-		{"Sat Aug  8 09:00:10 2026", 10 * time.Second},        // asctime
-		{"Sat, 08 Aug 2026 08:59:00 GMT", 0},                  // past date: clamp
+		{"Sat Aug  8 09:00:10 2026", 10 * time.Second},         // asctime
+		{"Sat, 08 Aug 2026 08:59:00 GMT", 0},                   // past date: clamp
 	} {
 		if got := parseRetryAfter(tc.in, now); got != tc.want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)

@@ -16,19 +16,19 @@ var fuzzSeeds = []string{
 	"T0 L 0x40 x3\nT0 S 0x48\nT0 E 5\nT1 S 0x44 x2\nT1 B 7\n",
 	"# comment only\nT0 E 1 # trailing\n\n",
 	"T0 L 64\nT0 S 0x40\n",
-	"T1 E 1\n",                // missing T0
-	"T0 E 1\nT2 E 1\n",        // gap at T1
-	"T999999999 E 1\n",        // huge tid: must error, not allocate
-	"T0 L 0x40 x0\n",          // zero repeat
-	"T0 E -3\n",               // negative count
-	"T0 X 1\n",                // unknown kind
-	"T0 LL 0x40\n",            // two-byte kind
-	"T-1 E 1\n",               // negative tid
-	"T0 L zz\n",               // bad address
+	"T1 E 1\n",                 // missing T0
+	"T0 E 1\nT2 E 1\n",         // gap at T1
+	"T999999999 E 1\n",         // huge tid: must error, not allocate
+	"T0 L 0x40 x0\n",           // zero repeat
+	"T0 E -3\n",                // negative count
+	"T0 X 1\n",                 // unknown kind
+	"T0 LL 0x40\n",             // two-byte kind
+	"T-1 E 1\n",                // negative tid
+	"T0 L zz\n",                // bad address
 	"T0 L 0X1F40\nT0 S 0X40\n", // uppercase hex prefix (regression)
-	"T0 L 0X\n",               // prefix with no digits
-	"T0 L\n",                  // short line
-	"",                        // empty input
+	"T0 L 0X\n",                // prefix with no digits
+	"T0 L\n",                   // short line
+	"",                         // empty input
 	"T0 L 0xffffffffffffffff\nT0 E 2147483647\n",
 	strings.Repeat("T0 E 1\n", 100),
 }
@@ -111,4 +111,71 @@ func TestParseHugeTidNoAlloc(t *testing.T) {
 	if want := "trace: thread ids not contiguous: T0 missing"; err.Error() != want {
 		t.Errorf("error = %q, want %q", err, want)
 	}
+}
+
+// diffSeeds are inputs on the boundary between the byte-level fast path
+// and the general line decoder: Unicode whitespace, signs and leading
+// zeros, CRLF endings, extra fields, numbers one digit past the fast
+// path's bounds, and lines at and past the scanner's 1 MiB limit.
+func diffSeeds() []string {
+	long := "T0 E 1 #" + strings.Repeat("z", 1<<20)
+	atLimit := "T0 E 1 #" + strings.Repeat("z", 1<<20-len("T0 E 1 #")-1)
+	return []string{
+		"T0\u0085L 0x40\n",
+		"T0\u00a0E 1\nT0 S\u00a00x40 x2\n",
+		"\u00a0T0 E 1\u0085\n",
+		"T0 L 0x40\n",
+		"T0 E 1 \n",
+		"T0 L 0x40 x2 \n",
+		"T+1 E 1\nT0 E 1\n",
+		"T01 E 1\nT0 E 1\n",
+		"T0 E +5\nT0 L 0x40 x+2\n",
+		"T0 L 0x40\r\nT0 S 64 x3\r\nT0 E 2\r\n",
+		"T0 L 0x40 x2 extra\nT0 E 3 4 5\nT0 S 8 x1 a b\n",
+		"T0 E 3 extra\n",
+		"T0 L 0x0123456789abcdef0\n",
+		"T0 L 0x00000000000000001\n",
+		"T0 L 0x123456789abcdef01\n",
+		"T0 L 0xFFFFFFFFFFFFFFFF\n",
+		"T0 L 18446744073709551615\n",
+		"T0 L 18446744073709551616\n",
+		"T0 L 00000000000000000001\n",
+		"T0 L 9999999999999999999\n",
+		"T9223372036854775807 E 1\n",
+		"T0 E 9223372036854775807\nT0 E 9223372036854775808\n",
+		"T0 L 1_0\nT0 L 0x1_0\n",
+		"T0 E 1#c\nT0#c\n#\n  \t\v\f\n",
+		"T1 E 1\nT0 E 1\nT3 E 1\nT2 E 2\n",
+		"T2 E 1\nT0 E 1\nT3 E 1\n",
+		"T0 E 1\n" + atLimit + "\nT0 E 2\n",
+		"T0 E 1\n" + long + "\nT0 E 2\n",
+		"T0 X 1\n" + long + "\n",
+	}
+}
+
+// FuzzParseMatchesReference holds Parse to the pre-fast-path parser
+// (refParse): on any input both accept the same trace or fail with the
+// same error text.
+func FuzzParseMatchesReference(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range diffSeeds() {
+		f.Add([]byte(s))
+		var gz bytes.Buffer
+		gw := gzip.NewWriter(&gz)
+		_, _ = gw.Write([]byte(s))
+		_ = gw.Close()
+		f.Add(gz.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gerr := Parse(bytes.NewReader(data))
+		want, werr := refParse(bytes.NewReader(data))
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("error = %v, reference %v", gerr, werr)
+		}
+		if gerr == nil && !reflect.DeepEqual(got.Threads, want.Threads) {
+			t.Fatalf("trace differs from the reference:\n got %+v\nwant %+v", got.Threads, want.Threads)
+		}
+	})
 }

@@ -3,12 +3,14 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"fsml/internal/cache"
 	"fsml/internal/machine"
 	"fsml/internal/miniprog"
+	"fsml/internal/trace/tracetest"
 )
 
 const sample = `
@@ -368,5 +370,27 @@ func TestRecordedTraceSerializes(t *testing.T) {
 	replay := m.Run(got.Kernels())
 	if replay.Instructions != orig.Instructions {
 		t.Errorf("serialized replay retired %d instructions, original %d", replay.Instructions, orig.Instructions)
+	}
+}
+
+// TestParseAllocsPerRecordDoNotGrow checks that parsing allocates per
+// chunk of records, not per record: doubling a trace's length must not
+// raise its allocations per record, and they stay far below one.
+func TestParseAllocsPerRecordDoNotGrow(t *testing.T) {
+	perRecord := func(records int) float64 {
+		text := tracetest.Text(rand.New(rand.NewSource(1)), records, 1, 2)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Parse(bytes.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs / float64(records)
+	}
+	one, two := perRecord(20000), perRecord(40000)
+	if two > one {
+		t.Errorf("allocations per record grew from %.5f to %.5f when the trace doubled", one, two)
+	}
+	if one > 0.01 {
+		t.Errorf("%.4f allocations per record, want well under one per hundred records", one)
 	}
 }
