@@ -948,7 +948,8 @@ type (
 	// bootstrap fraction, seed); parse the CLI spec format with
 	// ParseEnsembleSpec.
 	EnsembleSpec = ensemble.Spec
-	// EnsembleResult is a ranked multi-pathology verdict.
+	// EnsembleResult is a ranked multi-pathology verdict: a
+	// RobustResult with Pathologies and MissingEvents filled in.
 	EnsembleResult = ensemble.Result
 	// PathologyScore is one entry of the ranked verdict.
 	PathologyScore = ensemble.PathologyScore
@@ -958,9 +959,6 @@ type (
 	// EnsembleFormatError is the typed mismatch error produced when a
 	// serialized blob is not an fsml-ensemble-v1 model.
 	EnsembleFormatError = ensemble.EnsembleFormatError
-	// EnsembleRobustAdapter presents an ensemble through the single
-	// detector's robust-verdict interface, e.g. for the stream engine.
-	EnsembleRobustAdapter = ensemble.RobustAdapter
 	// EnsembleDetectorSpec identifies a lazily trainable ensemble in the
 	// serving registry; its Key() is the registry key.
 	EnsembleDetectorSpec = serve.EnsembleSpec

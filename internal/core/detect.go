@@ -109,6 +109,15 @@ func (d *Detector) Classify(s pmu.Sample) (string, error) {
 	return d.Model.Predict(fv), nil
 }
 
+// Features returns the event list the detector expects, in order: the
+// tree's attributes, or the Table-2 features for non-tree detectors.
+func (d *Detector) Features() []string {
+	if d.Tree != nil {
+		return d.Tree.Attrs
+	}
+	return pmu.FeatureNames()
+}
+
 // ClassifyObservation labels a measured run.
 func (d *Detector) ClassifyObservation(o Observation) (string, error) {
 	return d.Classify(o.Sample)
@@ -181,8 +190,8 @@ func (c *Collector) BatchClassify(ctx context.Context, det *Detector, n int, bui
 
 // BatchClassifyFunc is BatchClassify over an arbitrary robust
 // classifier — anything with ClassifyRobust's shape, e.g. the
-// multi-pathology ensemble through its adapter. Measurement, retries,
-// fault tolerance and determinism are identical to BatchClassify.
+// multi-pathology ensemble. Measurement, retries, fault tolerance and
+// determinism are identical to BatchClassify.
 func (c *Collector) BatchClassifyFunc(ctx context.Context, classify func(pmu.Sample) (RobustResult, error), n int, build func(i int) BatchCase) ([]CaseResult, error) {
 	return sched.Map(ctx, n, c.schedOptions(), func(_ context.Context, i int) (CaseResult, error) {
 		attempts := c.Retries + 1

@@ -102,9 +102,19 @@ func (c *Collector) measureRetry(desc string, seed uint64, build func() ([]machi
 // ---------------------------------------------------------------------------
 // Degraded classification
 
+// PathologyScore is one entry of a ranked multi-pathology verdict: a
+// label and the classifier's calibrated, normalized confidence in it.
+type PathologyScore struct {
+	Class string  `json:"class"`
+	Score float64 `json:"score"`
+}
+
 // RobustResult is a classification that records its own quality: the
 // predicted class, the detector's confidence in it, and whether (and
-// why) the prediction was computed on a partial event subset.
+// why) the prediction was computed on a partial event subset. It is the
+// one verdict type of every classifier: the 3-class detector fills the
+// first four fields, the multi-pathology ensemble also ranks every
+// label it knows and names the events the sample lacks.
 type RobustResult struct {
 	// Class is the predicted label.
 	Class string
@@ -118,6 +128,13 @@ type RobustResult struct {
 	// Suspects lists the flagged events of the sample, in programming
 	// order (nil for a clean sample).
 	Suspects []string
+	// Pathologies ranks every label by descending score (ties ascending
+	// label); Class and Confidence mirror its top entry. Nil for the
+	// 3-class detector.
+	Pathologies []PathologyScore
+	// MissingEvents lists classifier attributes the sample does not
+	// carry at all, sorted. Nil for the 3-class detector.
+	MissingEvents []string
 }
 
 // ClassifyRobust labels a sample the way Classify does, but survives

@@ -9,34 +9,18 @@ import (
 	"fsml/internal/pmu"
 )
 
-// PathologyScore is one entry of the ranked verdict: a label and the
-// ensemble's calibrated, normalized confidence in it.
-type PathologyScore struct {
-	Class string  `json:"class"`
-	Score float64 `json:"score"`
-}
+// PathologyScore is one entry of the ranked verdict.
+type PathologyScore = core.PathologyScore
 
-// Result is a multi-pathology classification. Pathologies is ranked by
-// descending score (ties ascending label), Class and Confidence mirror
-// its top entry so ensemble results drop into code written for the
-// single detector's RobustResult.
-type Result struct {
-	// Class is the top-ranked label.
-	Class string
-	// Confidence is the top entry's normalized score.
-	Confidence float64
-	// Pathologies ranks every class the ensemble knows.
-	Pathologies []PathologyScore
-	// Degraded reports that at least one member predicted on a partial
-	// feature subset (missing or suspect events).
-	Degraded bool
-	// Suspects lists the sample's flagged events, in programming order.
-	Suspects []string
-	// MissingEvents lists ensemble attributes the sample does not carry
-	// at all (e.g. the remote-DRAM counter in a legacy 15-feature
-	// vector), sorted. Members needing them degraded per-member.
-	MissingEvents []string
-}
+// Result is a multi-pathology classification: core.RobustResult with
+// Pathologies ranked over every class the ensemble knows and
+// MissingEvents naming the ensemble attributes the sample does not carry
+// (e.g. the remote-DRAM counter in a legacy 15-feature vector), for
+// which members degraded per-member.
+type Result = core.RobustResult
+
+// Features returns the widened attribute list the ensemble expects.
+func (d *Detector) Features() []string { return d.Attrs }
 
 // Classify labels one PMU sample with the ensemble's top-ranked class.
 func (d *Detector) Classify(s pmu.Sample) (string, error) {
@@ -59,9 +43,9 @@ func (d *Detector) Classify(s pmu.Sample) (string, error) {
 // normalizer poisons every normalized feature, so all attributes go
 // missing and every member falls back toward its training prior. A
 // sample with no usable instruction count at all is an error.
-func (d *Detector) ClassifyRobust(s pmu.Sample) (Result, error) {
+func (d *Detector) ClassifyRobust(s pmu.Sample) (core.RobustResult, error) {
 	if s.Instructions <= 0 {
-		return Result{}, fmt.Errorf("pmu: sample has no usable instruction count (normalizer read %g)", s.Instructions)
+		return core.RobustResult{}, fmt.Errorf("pmu: sample has no usable instruction count (normalizer read %g)", s.Instructions)
 	}
 	layout := make(map[string]int, len(s.Names))
 	for i, n := range s.Names {
@@ -81,7 +65,7 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (Result, error) {
 		}
 	}
 
-	res := Result{Suspects: suspects}
+	res := core.RobustResult{Suspects: suspects}
 	for a := range missingSet {
 		res.MissingEvents = append(res.MissingEvents, a)
 	}
@@ -160,22 +144,6 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (Result, error) {
 		res.Confidence = res.Pathologies[0].Score
 	}
 	return res, nil
-}
-
-// RobustAdapter presents the ensemble through the single detector's
-// robust-verdict shape (core.RobustResult keeps only the top-ranked
-// label), so consumers written against core.Detector.ClassifyRobust —
-// notably the stream engine — can run on the full label space without
-// knowing about ensembles.
-type RobustAdapter struct{ D *Detector }
-
-// ClassifyRobust implements the core-compatible classifier seam.
-func (a RobustAdapter) ClassifyRobust(s pmu.Sample) (core.RobustResult, error) {
-	r, err := a.D.ClassifyRobust(s)
-	if err != nil {
-		return core.RobustResult{}, err
-	}
-	return core.RobustResult{Class: r.Class, Confidence: r.Confidence, Degraded: r.Degraded, Suspects: r.Suspects}, nil
 }
 
 // predictMember projects the sample onto one member tree's attribute

@@ -77,9 +77,8 @@ func (s *Server) handleClassifyBin(w http.ResponseWriter, r *http.Request) {
 // the classify pipeline exactly like a JSON trace request; a vector
 // frame is classified as one columnar batch.
 func (s *Server) classifyBin(ctx context.Context, det *core.Detector, key string, req *BinClassifyRequest) (*BinClassifyResponse, error) {
-	vd := verdictor{det: det}
 	if len(req.Trace) > 0 {
-		resp, err := s.classify(ctx, vd, key, &ClassifyRequest{Trace: req.Trace, Seed: req.Seed}, nil)
+		resp, err := s.classify(ctx, det, key, &ClassifyRequest{Trace: req.Trace, Seed: req.Seed}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -99,6 +98,8 @@ func (s *Server) classifyBin(ctx context.Context, det *core.Detector, key string
 	err := s.runStage(ctx, func() error {
 		// Fast path: a clean frame against a tree detector runs columnar —
 		// one projection, one flat-tree pass, interned verdict strings.
+		// Each verdict is mirrored with the sample the per-vector path
+		// would build; a server without the lifecycle loop skips that.
 		if len(req.Suspects) == 0 && det.FlatTree() != nil {
 			classes := make([]string, n)
 			if err := det.ClassifyVectors(req.Events, req.Vecs, req.Width, classes); err != nil {
@@ -107,17 +108,26 @@ func (s *Server) classifyBin(ctx context.Context, det *core.Detector, key string
 			for i, c := range classes {
 				resp.Verdicts[i] = BinVerdict{Class: c, Confidence: 1}
 			}
+			if s.lc != nil {
+				for i, c := range classes {
+					sample, err := vectorSample(det, req.Events, req.Vecs[i*req.Width:(i+1)*req.Width], nil)
+					if err != nil {
+						return err
+					}
+					s.lc.Mirror(key, c, 1, sample, nil)
+				}
+			}
 			return nil
 		}
 		// Degraded or non-tree frames take the JSON endpoint's per-vector
 		// sample and verdict steps, so suspect handling stays
 		// semantically identical.
 		for i := 0; i < n; i++ {
-			sample, err := vectorSample(vd, req.Events, req.Vecs[i*req.Width:(i+1)*req.Width], req.Suspects)
+			sample, err := vectorSample(det, req.Events, req.Vecs[i*req.Width:(i+1)*req.Width], req.Suspects)
 			if err != nil {
 				return err
 			}
-			rr, _, err := s.verdict(vd, key, measurement{sample: sample})
+			rr, err := s.verdict(det, key, measurement{sample: sample})
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,8 @@
 package serve
 
 // Tests of the ensemble side of the serving layer: key parsing, the
-// ?ensemble=1 classify path, the ensemble registry's warm start and
-// quarantine, and the detector listing. Like the rest of the suite,
+// ?ensemble=1 classify path, ensemble keys' warm start, quarantine and
+// circuit breaker in the one registry, and the detector listing. Like the rest of the suite,
 // almost everything runs against a tiny hand-built model; only
 // TestEnsembleTrainsBaseOnce pays for real quick training, because it
 // pins the default trainer.
@@ -12,11 +12,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fsml/internal/core"
 	"fsml/internal/dataset"
@@ -63,9 +66,8 @@ func tinyWideVector(label string, i int) []float64 {
 	return fv
 }
 
-// tinyEnsemble hand-builds a deterministic three-class ensemble around
-// the tiny detector.
-func tinyEnsemble(t testing.TB) *ensemble.Detector {
+// tinyWideDataset labels a dozen tinyWideVectors per class.
+func tinyWideDataset(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	d := dataset.New(tinyWideAttrs)
 	for label := range tinyWideSignature {
@@ -75,15 +77,25 @@ func tinyEnsemble(t testing.TB) *ensemble.Detector {
 			}
 		}
 	}
-	det, err := ensemble.Train(d, tinyDetector(t), ensemble.Spec{Members: 3, Sample: 0.8, Seed: 5})
+	return d
+}
+
+// tinyEnsembleSpec grows the tiny test ensembles.
+var tinyEnsembleSpec = ensemble.Spec{Members: 3, Sample: 0.8, Seed: 5}
+
+// tinyEnsemble hand-builds a deterministic three-class ensemble around
+// the tiny detector.
+func tinyEnsemble(t testing.TB) *ensemble.Detector {
+	t.Helper()
+	det, err := ensemble.Train(tinyWideDataset(t), tinyDetector(t), tinyEnsembleSpec)
 	if err != nil {
 		t.Fatalf("training tiny ensemble: %v", err)
 	}
 	return det
 }
 
-// newEnsembleTestServer wires a server whose ensemble registry serves
-// the tiny ensemble instantly.
+// newEnsembleTestServer wires a server whose registry serves the tiny
+// ensemble instantly.
 func newEnsembleTestServer(t testing.TB) (*Server, *Client) {
 	t.Helper()
 	ens := tinyEnsemble(t)
@@ -99,15 +111,15 @@ func TestEnsembleSpecKeyRoundTrip(t *testing.T) {
 		{Quick: true, Seed: 0}, // canonicalizes to seed=1
 	} {
 		key := spec.Key()
-		got, ok := parseEnsembleKey(key)
+		got, ok := parseSpecKey(key, ensemblePrefix)
 		if !ok {
-			t.Fatalf("parseEnsembleKey(%q) rejected its own Key", key)
+			t.Fatalf("parseSpecKey(%q) rejected its own Key", key)
 		}
 		want := spec
 		if want.Seed == 0 {
 			want.Seed = 1
 		}
-		if got != want {
+		if EnsembleSpec(got) != want {
 			t.Errorf("round trip %q: got %+v, want %+v", key, got, want)
 		}
 	}
@@ -115,8 +127,8 @@ func TestEnsembleSpecKeyRoundTrip(t *testing.T) {
 		"", "ensemble:", "train:quick=true,seed=1",
 		"ensemble:quick=2,seed=1", "ensemble:frob=1", "ensemble:quick",
 	} {
-		if _, ok := parseEnsembleKey(bad); ok {
-			t.Errorf("parseEnsembleKey(%q) accepted a malformed key", bad)
+		if _, ok := parseSpecKey(bad, ensemblePrefix); ok {
+			t.Errorf("parseSpecKey(%q) accepted a malformed key", bad)
 		}
 	}
 }
@@ -153,10 +165,11 @@ func TestEnsembleTrainsBaseOnce(t *testing.T) {
 		t.Errorf("base detector trained %d times, want 1", n)
 	}
 
-	served, err := s.ens.Get(ctx, EnsembleSpec{Quick: true, Seed: 1}.Key())
+	c, _, err := s.reg.Lookup(ctx, EnsembleSpec{Quick: true, Seed: 1}.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
+	served := c.(*ensemble.Detector)
 	base, _, err := s.reg.Get(ctx, TrainSpec{Quick: true, Seed: 1}.Key())
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +264,70 @@ func TestClassifyEnsembleRejectsForeignKey(t *testing.T) {
 	}
 }
 
-// TestEnsembleRegistryWarmStartAndQuarantine exercises the disk side:
-// first Get trains and persists, a fresh registry over the same dir
+// TestClassifyKeyFamilyDecides pins that the key family, not the
+// ?ensemble=1 opt-in, decides the classifier: a plain classify naming a
+// persisted ensemble key gets the ranked ensemble verdict, and the
+// ensemble's model file is neither misread as a detector nor
+// quarantined.
+func TestClassifyKeyFamilyDecides(t *testing.T) {
+	dir := t.TempDir()
+	ens := tinyEnsemble(t)
+	_, client := newTestServer(t, Config{
+		RegistryDir:   dir,
+		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) { return ens, nil },
+	})
+	ctx := context.Background()
+	req := ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", 4)}
+	want, err := client.ClassifyEnsemble(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Detector = want.Detector
+	got, err := client.Classify(ctx, req)
+	if err != nil {
+		t.Fatalf("plain classify of %s: %v", req.Detector, err)
+	}
+	if got.Class != want.Class || len(got.Pathologies) != len(want.Pathologies) {
+		t.Errorf("plain classify of %s = %+v, want the ensemble verdict %+v", req.Detector, got, want)
+	}
+	path := filepath.Join(dir, "ensemble-quick=true,seed=1.json")
+	if _, err := os.Stat(quarantinePath(path)); err == nil {
+		t.Error("the ensemble model file was quarantined as a corrupt detector")
+	}
+}
+
+// TestDetectorPathsRejectEnsembleKeys pins the other direction: the
+// paths that need a 3-class detector answer an ensemble key with a 400
+// before any ensemble training starts.
+func TestDetectorPathsRejectEnsembleKeys(t *testing.T) {
+	var trains atomic.Int64
+	s, client := newTestServer(t, Config{
+		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) {
+			trains.Add(1)
+			return nil, errors.New("must not train")
+		},
+	})
+	ctx := context.Background()
+	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
+	_, binErr := client.ClassifyBinary(ctx, &BinClassifyRequest{Detector: key, Width: 2, Vecs: []float64{0.55, 0.05}})
+	_, repErr := client.Report(ctx, ReportRequest{Program: "histogram", Detector: key})
+	for name, err := range map[string]error{"classify-bin": binErr, "report": repErr} {
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("%s with %s: %v, want a 400 APIError", name, key, err)
+		}
+	}
+	if _, err := s.reg.Resolve(key); err == nil {
+		t.Error("Resolve served an ensemble key as a detector")
+	}
+	if n := trains.Load(); n != 0 {
+		t.Errorf("ensemble trained %d times for detector-only paths", n)
+	}
+}
+
+// TestEnsembleRegistryWarmStartAndQuarantine exercises the disk side of
+// ensemble keys: the first Lookup trains and persists under the
+// ensemble-<spec>.json name, a fresh registry over the same dir
 // warm-starts without training, and a corrupted model file is
 // quarantined and retrained instead of poisoning the server.
 func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
@@ -265,8 +340,8 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 	}
 	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
 
-	reg1 := newEnsembleRegistry(dir, train, nil)
-	if _, err := reg1.Get(context.Background(), key); err != nil {
+	reg1 := NewRegistry(RegistryConfig{Dir: dir, TrainEnsemble: train})
+	if _, _, err := reg1.Lookup(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
 	if n := trains.Load(); n != 1 {
@@ -277,8 +352,8 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 		t.Fatalf("model file not persisted: %v", err)
 	}
 
-	reg2 := newEnsembleRegistry(dir, train, nil)
-	got, err := reg2.Get(context.Background(), key)
+	reg2 := NewRegistry(RegistryConfig{Dir: dir, TrainEnsemble: train})
+	got, _, err := reg2.Lookup(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +368,8 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMetrics()
-	reg3 := newEnsembleRegistry(dir, train, m)
-	if _, err := reg3.Get(context.Background(), key); err != nil {
+	reg3 := NewRegistry(RegistryConfig{Dir: dir, TrainEnsemble: train, Metrics: m})
+	if _, _, err := reg3.Lookup(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
 	if n := trains.Load(); n != 2 {
@@ -306,9 +381,116 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 	if m.Counter(mQuarantined) != 1 {
 		t.Errorf("quarantine counter %d, want 1", m.Counter(mQuarantined))
 	}
-	// The quarantined file was replaced by a fresh persist.
-	if blob, err := os.ReadFile(path); err != nil || len(blob) == 0 {
-		t.Errorf("retrained model not re-persisted: %v", err)
+	// The quarantined file was replaced by a fresh persist, in the
+	// ensemble's own serialization.
+	want, err := ens.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := os.ReadFile(path); err != nil || !bytes.Equal(blob, want) {
+		t.Errorf("retrained model not re-persisted as ens.Encode(): %v", err)
+	}
+}
+
+// TestEnsembleTrainingBreakerOpens pins that an ensemble spec whose
+// training keeps failing trips the registry's circuit breaker: after
+// BreakerThreshold failures the next ?ensemble=1 classify fails fast
+// with 503 and Retry-After without calling the trainer, and /readyz
+// names the ensemble key among the open breakers.
+func TestEnsembleTrainingBreakerOpens(t *testing.T) {
+	const threshold = 2
+	var trains atomic.Int64
+	_, client := newTestServer(t, Config{
+		BreakerThreshold: threshold,
+		BreakerCooldown:  time.Hour,
+		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) {
+			trains.Add(1)
+			return nil, errors.New("synthetic widened-grid failure")
+		},
+	})
+	ctx := context.Background()
+	req := ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("good", 1)}
+	for i := 0; i < threshold; i++ {
+		if _, err := client.ClassifyEnsemble(ctx, req); err == nil {
+			t.Fatalf("attempt %d over a failing trainer succeeded", i)
+		}
+	}
+	_, err := client.ClassifyEnsemble(ctx, req)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.RetryAfter <= 0 {
+		t.Fatalf("after %d failures: %v, want 503 with Retry-After", threshold, err)
+	}
+	if n := trains.Load(); n != threshold {
+		t.Errorf("trainer ran %d times, want %d: the open circuit must not train", n, threshold)
+	}
+	rr, err := client.Ready(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
+	if rr.Ready || len(rr.OpenBreakers) != 1 || rr.OpenBreakers[0] != key {
+		t.Fatalf("readyz = %+v, want not ready with open breaker %s", rr, key)
+	}
+}
+
+// TestColdConcurrentClassifiesTrainOnce fires concurrent cold
+// ?ensemble=1 and plain classifies at one registry. Plain requests
+// resolve the default train: key directly; the ensemble trainer
+// resolves the same key through a nested Get for its base. Both
+// singleflights must hold: the base trains once, the ensemble once,
+// around the registry's own base.
+func TestColdConcurrentClassifiesTrainOnce(t *testing.T) {
+	base := tinyDetector(t)
+	wide := tinyWideDataset(t)
+	var baseTrains, ensTrains atomic.Int64
+	var s *Server
+	s, client := newTestServer(t, Config{
+		Train: func(TrainSpec) (*core.Detector, error) {
+			baseTrains.Add(1)
+			time.Sleep(20 * time.Millisecond) // widen the race window
+			return base, nil
+		},
+		TrainEnsemble: func(spec EnsembleSpec) (*ensemble.Detector, error) {
+			ensTrains.Add(1)
+			b, _, err := s.Registry().Get(context.Background(), TrainSpec(spec).Key())
+			if err != nil {
+				return nil, err
+			}
+			return ensemble.Train(wide, b, tinyEnsembleSpec)
+		},
+	})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				resp, err := client.ClassifyEnsemble(ctx, ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", i)})
+				if err != nil || resp.Class != "tlb-thrash" {
+					t.Errorf("ensemble classify %d = (%+v, %v), want tlb-thrash", i, resp, err)
+				}
+				return
+			}
+			resp, err := client.Classify(ctx, ClassifyRequest{Events: []string{attrHITM, attrMiss}, Vector: []float64{0.55, 0.05}})
+			if err != nil || resp.Class != "bad-fs" {
+				t.Errorf("plain classify %d = (%+v, %v), want bad-fs", i, resp, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := baseTrains.Load(); n != 1 {
+		t.Errorf("base trained %d times, want 1", n)
+	}
+	if n := ensTrains.Load(); n != 1 {
+		t.Errorf("ensemble trained %d times, want 1", n)
+	}
+	c, _, err := s.reg.Lookup(ctx, EnsembleSpec{Quick: true, Seed: 1}.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.(*ensemble.Detector).Base != base {
+		t.Error("the ensemble's base is not the registry's detector")
 	}
 }
 
@@ -343,6 +525,17 @@ func TestDetectorsListIncludesEnsembles(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("detector listing %v misses the resident ensemble %q", resp.Detectors, key)
+	}
+	health, err := client.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready, err := client.Ready(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(resp.Detectors); health.Detectors != n || ready.Detectors != n {
+		t.Errorf("healthz counts %d detectors, readyz %d, listing %d: the counts must agree", health.Detectors, ready.Detectors, n)
 	}
 	diskHasKey := false
 	for _, k := range resp.Disk {

@@ -312,6 +312,42 @@ func TestChaosDriftRetrainPromoteRollback(t *testing.T) {
 	}
 }
 
+// TestBinaryFrameMirrorsToShadow pins that clean binary vector frames,
+// which classify on the columnar fast path, reach the shadow scorer
+// like JSON vectors do: one frame of Shadow vectors completes the
+// candidate's shadow budget and moves the manager on to promotion.
+func TestBinaryFrameMirrorsToShadow(t *testing.T) {
+	cand := variantDetector(tinyDetector(t), 202)
+	s, client := newTestServer(t, Config{Lifecycle: &lifecycle.Config{
+		Spec:  chaosSpec(),
+		Train: func(uint64) (*core.Detector, float64, error) { return cand, 0.97, nil },
+	}})
+	lc := s.Lifecycle()
+	if lc == nil {
+		t.Fatal("lifecycle disabled")
+	}
+	t.Cleanup(lc.Close)
+	driftAlarms(lc, 3)
+	awaitState(t, lc, lifecycle.StateShadowing)
+
+	var vecs []float64
+	for i := 0; i < chaosSpec().Shadow; i++ {
+		vecs = append(vecs, vecFS...)
+	}
+	resp, err := client.ClassifyBinary(context.Background(), &BinClassifyRequest{
+		Events: []string{attrHITM, attrMiss}, Width: 2, Vecs: vecs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range resp.Verdicts {
+		if v.Class != "bad-fs" {
+			t.Fatalf("verdict %d = %q, want bad-fs", i, v.Class)
+		}
+	}
+	awaitState(t, lc, lifecycle.StatePromoting)
+}
+
 // BenchmarkShadowMirror measures what mirroring costs the classify hot
 // path: the same vector classified with the lifecycle absent, armed but
 // idle (one atomic load), and actively shadowing a candidate (a second
@@ -329,7 +365,7 @@ func BenchmarkShadowMirror(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.classify(ctx, verdictor{det: det}, key, req, nil); err != nil {
+			if _, err := s.classify(ctx, det, key, req, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,12 +1,14 @@
 package serve
 
-// The detector registry: a content-hash-keyed, LRU-bounded cache of
-// trained core.Detectors. Detectors enter it three ways — uploaded over
-// the wire (POST /v1/detectors), warm-loaded from a disk directory of
-// serialized models, or trained lazily on first use from a train-spec
-// key. Concurrent requests for the same untrained key share one training
-// run (singleflight): the first caller does the work, everyone else
-// waits on the entry, and nobody trains twice.
+// The detector registry: an LRU-bounded cache of trained classifiers,
+// keyed by family. "sha256:" keys hold uploaded core.Detectors,
+// "train:" keys lazily trained ones, and "ensemble:" keys lazily trained
+// multi-pathology ensembles. Classifiers enter it three ways — uploaded
+// over the wire (POST /v1/detectors), warm-loaded from a disk directory
+// of serialized models, or trained lazily on first use from a spec key.
+// Concurrent requests for the same untrained key share one training run
+// (singleflight): the first caller does the work, everyone else waits on
+// the entry, and nobody trains twice.
 
 import (
 	"container/list"
@@ -26,9 +28,31 @@ import (
 	"time"
 
 	"fsml/internal/core"
+	"fsml/internal/ensemble"
 	"fsml/internal/exps"
 	"fsml/internal/fsatomic"
+	"fsml/internal/pmu"
 	"fsml/internal/resilience"
+)
+
+// Classifier is what the registry holds under every key family: the
+// 3-class *core.Detector under "train:" and "sha256:" keys, the
+// multi-pathology *ensemble.Detector under "ensemble:" keys.
+type Classifier interface {
+	// ClassifyRobust returns the verdict; only ensembles rank
+	// pathologies.
+	ClassifyRobust(s pmu.Sample) (core.RobustResult, error)
+	// Encode serializes the model for the registry dir.
+	Encode() ([]byte, error)
+	// Features lists the events an unnamed vector is read as, in order.
+	Features() []string
+}
+
+// The lazily trainable key families. A key's prefix decides its
+// classifier type, its model decoder and its trainer.
+const (
+	trainPrefix    = "train:"
+	ensemblePrefix = "ensemble:"
 )
 
 // TrainSpec identifies a lazily trainable detector: the training options
@@ -42,17 +66,33 @@ type TrainSpec struct {
 }
 
 // Key returns the canonical registry key of the spec.
-func (s TrainSpec) Key() string {
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
+func (s TrainSpec) Key() string { return s.key(trainPrefix) }
+
+// seed resolves the zero seed to 1.
+func (s TrainSpec) seed() uint64 {
+	if s.Seed == 0 {
+		return 1
 	}
-	return fmt.Sprintf("train:quick=%t,seed=%d", s.Quick, seed)
+	return s.Seed
 }
 
-// parseTrainKey parses a "train:quick=...,seed=..." registry key.
-func parseTrainKey(key string) (TrainSpec, bool) {
-	rest, ok := strings.CutPrefix(key, "train:")
+// key renders the canonical "<prefix>quick=...,seed=..." key.
+func (s TrainSpec) key(prefix string) string {
+	return fmt.Sprintf("%squick=%t,seed=%d", prefix, s.Quick, s.seed())
+}
+
+// EnsembleSpec identifies a lazily trainable ensemble: the widened-grid
+// pipeline around the 3-class detector of the same Quick/Seed
+// TrainSpec. Its Key is canonical.
+type EnsembleSpec TrainSpec
+
+// Key returns the canonical registry key of the spec.
+func (s EnsembleSpec) Key() string { return TrainSpec(s).key(ensemblePrefix) }
+
+// parseSpecKey parses a "<prefix>quick=...,seed=..." registry key of
+// one trainable family.
+func parseSpecKey(key, prefix string) (TrainSpec, bool) {
+	rest, ok := strings.CutPrefix(key, prefix)
 	if !ok {
 		return TrainSpec{}, false
 	}
@@ -121,10 +161,14 @@ type RegistryConfig struct {
 	// Train overrides the lazy trainer (tests inject counting or instant
 	// trainers). Nil selects the exps.Lab pipeline.
 	Train func(spec TrainSpec) (*core.Detector, error)
+	// TrainEnsemble overrides the lazy ensemble trainer (tests). Nil
+	// selects the widened-grid pipeline around the base detector that a
+	// nested Get of the matching train: key resolves.
+	TrainEnsemble func(spec EnsembleSpec) (*ensemble.Detector, error)
 	// Metrics, when non-nil, receives hit/miss/eviction counts.
 	Metrics *Metrics
 	// BreakerThreshold is the consecutive training failures that open a
-	// train spec's circuit breaker, after which requests for that spec
+	// spec key's circuit breaker, after which requests for that spec
 	// fail fast instead of re-running full training (default 3;
 	// negative disables the breakers).
 	BreakerThreshold int
@@ -135,15 +179,15 @@ type RegistryConfig struct {
 	Now func() time.Time
 }
 
-// entry is one registry slot. ready is closed once det/err are final;
-// until then the entry is "loading" and Get calls wait on it. det,
+// entry is one registry slot. ready is closed once c/err are final;
+// until then the entry is "loading" and Lookup calls wait on it. c,
 // source, and err are only ever written under Registry.mu, so List may
 // read them under the lock without waiting on ready.
 type entry struct {
 	key    string
 	source string // "upload" | "disk" | "trained"
 	ready  chan struct{}
-	det    *core.Detector
+	c      Classifier
 	err    error
 	elem   *list.Element
 }
@@ -157,7 +201,7 @@ type DetectorInfo struct {
 	TrainedOn map[string]int `json:"trained_on,omitempty"`
 }
 
-// Registry is the detector cache. Safe for concurrent use.
+// Registry is the classifier cache. Safe for concurrent use.
 type Registry struct {
 	cfg RegistryConfig
 
@@ -209,11 +253,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.Train == nil {
 		par := cfg.Parallelism
 		cfg.Train = func(spec TrainSpec) (*core.Detector, error) {
-			seed := spec.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			lab := &exps.Lab{Quick: spec.Quick, Seed: seed, Parallelism: par}
+			lab := &exps.Lab{Quick: spec.Quick, Seed: spec.seed(), Parallelism: par}
 			return lab.Detector()
 		}
 	}
@@ -224,8 +264,26 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 		breakers: map[string]*resilience.Breaker{},
 		active:   map[string]ActivePointer{},
 	}
+	if r.cfg.TrainEnsemble == nil {
+		r.cfg.TrainEnsemble = r.trainEnsemble
+	}
 	r.loadActive()
 	return r
+}
+
+// trainEnsemble is the default ensemble trainer: the widened-grid
+// pipeline around the 3-class detector of the same quick/seed spec. The
+// base resolves through a nested Get of the matching train: key, so a
+// registry that already holds it (resident or on disk) does not train
+// it twice, and its training shares the singleflight and breaker.
+func (r *Registry) trainEnsemble(spec EnsembleSpec) (*ensemble.Detector, error) {
+	ctx := context.Background()
+	base, _, err := r.Get(ctx, TrainSpec(spec).Key())
+	if err != nil {
+		return nil, err
+	}
+	cfg := ensemble.TrainConfig{Quick: spec.Quick, Seed: TrainSpec(spec).seed(), Parallelism: r.cfg.Parallelism}
+	return ensemble.TrainContext(ctx, cfg, base)
 }
 
 // loadActive warm-starts the active-version pointers from the registry
@@ -322,9 +380,9 @@ func (r *Registry) ActivePointers() map[string]ActivePointer {
 	return out
 }
 
-// Resolve fetches a key outside any request context — the lifecycle
-// manager resolving a rollback target. It shares Get's full load path
-// (warm start, lazy training, breakers).
+// Resolve fetches a detector key outside any request context — the
+// lifecycle manager resolving a rollback target. It shares Get's full
+// load path (warm start, lazy training, breakers).
 func (r *Registry) Resolve(key string) (*core.Detector, error) {
 	det, _, err := r.Get(context.Background(), key)
 	return det, err
@@ -346,7 +404,7 @@ func (r *Registry) pinnedLocked() map[string]bool {
 	return pinned
 }
 
-// breakerFor returns the training circuit breaker of a train-spec key,
+// breakerFor returns the training circuit breaker of a spec key,
 // creating it on first use (nil when breakers are disabled). Breaker
 // transitions feed the metrics so an open circuit is visible in a
 // scrape and in /readyz.
@@ -377,7 +435,7 @@ func (r *Registry) breakerFor(key string) *resilience.Breaker {
 	return b
 }
 
-// OpenBreakers lists the train-spec keys whose breaker is not closed
+// OpenBreakers lists the spec keys whose breaker is not closed
 // (sorted). /readyz reports them so an operator sees which specs are
 // failing without grepping logs.
 func (r *Registry) OpenBreakers() []string {
@@ -393,12 +451,12 @@ func (r *Registry) OpenBreakers() []string {
 	return out
 }
 
-// TrainingUnavailableError reports a train-spec key whose circuit
-// breaker is open: training has failed repeatedly and the registry is
+// TrainingUnavailableError reports a spec key whose circuit breaker is
+// open: training has failed repeatedly and the registry is
 // failing fast until the cooldown's half-open probe (HTTP 503 with
 // Retry-After).
 type TrainingUnavailableError struct {
-	// Key is the failing train-spec registry key.
+	// Key is the failing spec registry key.
 	Key string
 	// RetryAfter is how long until the breaker admits a probe.
 	RetryAfter time.Duration
@@ -415,11 +473,27 @@ func (r *Registry) count(name string) {
 	}
 }
 
-// Get returns the detector for key, loading or training it on first use.
-// hit reports whether the key was already resident (ready or in flight);
-// a waiter on an in-flight load counts as a hit because it triggered no
-// work. Waiting is bounded by ctx.
+// Get returns the 3-class detector for key, the way Lookup does. It is
+// the one resolver of every path that needs a *core.Detector (reports,
+// watch sessions, binary frames, lifecycle rollback): an ensemble key
+// is a client error there, rejected before any load starts.
 func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit bool, err error) {
+	if strings.HasPrefix(key, ensemblePrefix) {
+		return nil, false, badRequestf("serve: %q is an ensemble key; this path needs a train: or sha256: detector", key)
+	}
+	c, hit, err := r.Lookup(ctx, key)
+	if err != nil {
+		return nil, hit, err
+	}
+	// Every other family decodes, trains or registers *core.Detectors.
+	return c.(*core.Detector), hit, nil
+}
+
+// Lookup returns the classifier for key, loading or training it on
+// first use. hit reports whether the key was already resident (ready or
+// in flight); a waiter on an in-flight load counts as a hit because it
+// triggered no work. Waiting is bounded by ctx.
+func (r *Registry) Lookup(ctx context.Context, key string) (c Classifier, hit bool, err error) {
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
 		r.lru.MoveToFront(e.elem)
@@ -427,7 +501,7 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 		r.count(mRegistryHits)
 		select {
 		case <-e.ready:
-			return e.det, true, e.err
+			return e.c, true, e.err
 		case <-ctx.Done():
 			return nil, true, ctx.Err()
 		}
@@ -443,11 +517,11 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 	r.count(mRegistryMisses)
 
 	// Publish the load result under the lock: List reads e.source (and
-	// Get's hit path reads det/err after ready) concurrently, so the
+	// Lookup's hit path reads c/err after ready) concurrently, so the
 	// fields must never be written outside r.mu.
-	det, source, lerr := r.load(key)
+	c, source, lerr := r.load(key)
 	r.mu.Lock()
-	e.det, e.source, e.err = det, source, lerr
+	e.c, e.source, e.err = c, source, lerr
 	close(e.ready)
 	if lerr != nil {
 		// Drop the failed entry so a later request can retry.
@@ -460,12 +534,12 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 	if lerr != nil {
 		return nil, false, lerr
 	}
-	return det, false, nil
+	return c, false, nil
 }
 
 // load resolves a missing key: disk first (warm start), then the lazy
-// trainer for train-spec keys. Unknown content-hash keys are an error —
-// the bytes behind them exist nowhere.
+// trainer of the key's family for train: and ensemble: keys. Unknown
+// content-hash keys are an error — the bytes behind them exist nowhere.
 //
 // A model file that exists but does not decode (truncated by a crash
 // mid-write, bit-rotted, or written by an incompatible build) is
@@ -474,15 +548,21 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 // instead of making the key permanently unservable. Content-hash keys
 // have no trainer to fall through to; for them the quarantine error
 // surfaces.
-func (r *Registry) load(key string) (*core.Detector, string, error) {
+func (r *Registry) load(key string) (Classifier, string, error) {
+	ens := strings.HasPrefix(key, ensemblePrefix)
+	prefix := trainPrefix
+	if ens {
+		prefix = ensemblePrefix
+	}
+	spec, trainable := parseSpecKey(key, prefix)
 	if r.cfg.Dir != "" {
 		path := r.fileFor(key)
 		blob, err := os.ReadFile(path)
 		switch {
 		case err == nil:
-			det, derr := core.DecodeDetector(blob)
+			c, derr := decodeModel(ens, blob)
 			if derr == nil {
-				return det, "disk", nil
+				return c, "disk", nil
 			}
 			if qerr := r.quarantine(path); qerr != nil {
 				// Can't even move the bad file aside; surface the decode
@@ -491,10 +571,10 @@ func (r *Registry) load(key string) (*core.Detector, string, error) {
 				// delete by hand.
 				return nil, "", fmt.Errorf("serve: registry warm start from %s: %w (quarantine failed: %v)", path, derr, qerr)
 			}
-			if _, ok := parseTrainKey(key); !ok {
+			if !trainable {
 				return nil, "", fmt.Errorf("serve: registry warm start from %s: %w (quarantined to %s; %s is content-keyed and must be re-uploaded)", path, derr, quarantinePath(path), key)
 			}
-			// Train-spec key: retrain below as if the file never existed.
+			// Spec key: retrain below as if the file never existed.
 		case !errors.Is(err, fs.ErrNotExist):
 			// A model file exists but cannot be read (permissions, I/O
 			// fault). Falling through to retraining would mask the disk
@@ -502,28 +582,45 @@ func (r *Registry) load(key string) (*core.Detector, string, error) {
 			return nil, "", fmt.Errorf("serve: registry warm start reading %s: %w", path, err)
 		}
 	}
-	if spec, ok := parseTrainKey(key); ok {
-		br := r.breakerFor(key)
-		if br != nil {
-			if err := br.Allow(); err != nil {
-				r.count(mBreakerFastFail)
-				return nil, "", &TrainingUnavailableError{Key: key, RetryAfter: br.RetryAfter()}
-			}
-		}
-		det, err := r.cfg.Train(spec)
-		if err != nil {
-			if br != nil {
-				br.Failure()
-			}
-			return nil, "", fmt.Errorf("serve: training %s: %w", key, err)
-		}
-		if br != nil {
-			br.Success()
-		}
-		r.persist(key, det)
-		return det, "trained", nil
+	if !trainable {
+		return nil, "", &UnknownDetectorError{Key: key}
 	}
-	return nil, "", &UnknownDetectorError{Key: key}
+	br := r.breakerFor(key)
+	if br != nil {
+		if err := br.Allow(); err != nil {
+			r.count(mBreakerFastFail)
+			return nil, "", &TrainingUnavailableError{Key: key, RetryAfter: br.RetryAfter()}
+		}
+	}
+	c, err := r.train(ens, spec)
+	if err != nil {
+		if br != nil {
+			br.Failure()
+		}
+		return nil, "", fmt.Errorf("serve: training %s: %w", key, err)
+	}
+	if br != nil {
+		br.Success()
+	}
+	r.persist(key, c)
+	return c, "trained", nil
+}
+
+// decodeModel parses a model file of the ensemble or the detector
+// family.
+func decodeModel(ens bool, blob []byte) (Classifier, error) {
+	if ens {
+		return ensemble.Decode(blob)
+	}
+	return core.DecodeDetector(blob)
+}
+
+// train runs the lazy trainer of the ensemble or the detector family.
+func (r *Registry) train(ens bool, spec TrainSpec) (Classifier, error) {
+	if ens {
+		return r.cfg.TrainEnsemble(EnsembleSpec(spec))
+	}
+	return r.cfg.Train(spec)
 }
 
 // quarantinePath maps a model file to its quarantine name.
@@ -558,7 +655,7 @@ func (r *Registry) Register(det *core.Detector) (key string, existed bool, err e
 		<-e.ready // content-keyed entries are inserted ready; never blocks long
 		return key, true, e.err
 	}
-	e := &entry{key: key, source: "upload", ready: make(chan struct{}), det: det}
+	e := &entry{key: key, source: "upload", ready: make(chan struct{}), c: det}
 	close(e.ready)
 	e.elem = r.lru.PushFront(e)
 	r.entries[key] = e
@@ -575,11 +672,11 @@ func (r *Registry) Register(det *core.Detector) (key string, existed bool, err e
 // crash mid-persist leaves either the previous good model or nothing,
 // never a truncated file (which a later warm start would have to
 // quarantine and retrain).
-func (r *Registry) persist(key string, det *core.Detector) {
+func (r *Registry) persist(key string, c Classifier) {
 	if r.cfg.Dir == "" {
 		return
 	}
-	blob, err := det.Encode()
+	blob, err := c.Encode()
 	if err != nil {
 		return
 	}
@@ -647,7 +744,9 @@ func (r *Registry) List() []DetectorInfo {
 		case <-e.ready:
 			if e.err == nil {
 				info.State = "ready"
-				info.TrainedOn = e.det.TrainedOn
+				if det, ok := e.c.(*core.Detector); ok {
+					info.TrainedOn = det.TrainedOn
+				}
 			}
 		default:
 		}

@@ -108,7 +108,7 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Train overrides the registry's lazy trainer (tests).
 	Train func(spec TrainSpec) (*core.Detector, error)
-	// TrainEnsemble overrides the ensemble registry's lazy trainer
+	// TrainEnsemble overrides the registry's lazy ensemble trainer
 	// (tests). Nil selects the exps.Lab base + widened-grid pipeline.
 	TrainEnsemble func(spec EnsembleSpec) (*ensemble.Detector, error)
 	// Lifecycle, when non-nil, enables the self-healing model loop:
@@ -160,7 +160,6 @@ type Server struct {
 	cfg     Config
 	metrics *Metrics
 	reg     *Registry
-	ens     *ensembleRegistry
 
 	limClassify *resilience.Limiter
 	limReport   *resilience.Limiter
@@ -208,6 +207,7 @@ func New(cfg Config) *Server {
 			Dir:              cfg.RegistryDir,
 			Parallelism:      cfg.Parallelism,
 			Train:            cfg.Train,
+			TrainEnsemble:    cfg.TrainEnsemble,
 			Metrics:          m,
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
@@ -218,11 +218,6 @@ func New(cfg Config) *Server {
 		watchStop:    make(chan struct{}),
 		handlersDone: make(chan struct{}),
 	}
-	trainEnsemble := cfg.TrainEnsemble
-	if trainEnsemble == nil {
-		trainEnsemble = s.trainEnsemble
-	}
-	s.ens = newEnsembleRegistry(cfg.RegistryDir, trainEnsemble, m)
 	if cfg.Lifecycle != nil {
 		s.initLifecycle()
 	}
@@ -232,7 +227,7 @@ func New(cfg Config) *Server {
 // Metrics exposes the server's metric registry (tests and embedders).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Registry exposes the detector registry (embedders that pre-register).
+// Registry exposes the classifier registry (embedders that pre-register).
 func (s *Server) Registry() *Registry { return s.reg }
 
 // RequestIDHeader is the correlation header. A fleet coordinator (or
@@ -464,7 +459,7 @@ func badRequestf(format string, args ...any) error {
 type UnknownDetectorError struct{ Key string }
 
 func (e *UnknownDetectorError) Error() string {
-	return fmt.Sprintf("serve: unknown detector %q: not cached, not on disk, and not a train: spec", e.Key)
+	return fmt.Sprintf("serve: unknown detector %q: not cached, not on disk, and not a train: or ensemble: spec", e.Key)
 }
 
 // reqContext applies the per-request deadline: the request's timeout_ms
@@ -560,10 +555,7 @@ func (s *Server) detector(ctx context.Context, key string) (*core.Detector, stri
 		return det, key, err
 	}
 	det, _, err := s.reg.Get(ctx, key)
-	if err != nil {
-		return nil, key, err
-	}
-	return det, key, nil
+	return det, key, err
 }
 
 // ---------------------------------------------------------------------------
@@ -644,7 +636,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleListDetectors(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.Add(mReqDetectors, 1)
 	writeJSON(w, DetectorsResponse{
-		Detectors: append(s.reg.List(), s.ens.List()...),
+		Detectors: s.reg.List(),
 		Capacity:  s.cfg.RegistryCapacity,
 		Disk:      s.reg.DiskKeys(),
 	})
@@ -707,12 +699,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.reqContext(r, req.TimeoutMS)
 	defer cancel()
-	vd, key, err := s.verdictorFor(ctx, r, req.Detector)
+	c, key, err := s.classifier(ctx, r, req.Detector)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	resp, err := s.classify(ctx, vd, key, &req, perf)
+	resp, err := s.classify(ctx, c, key, &req, perf)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -740,16 +732,29 @@ func validateClassify(req *ClassifyRequest) error {
 	return nil
 }
 
-// verdictorFor resolves a classify request's classifier: the ensemble
-// registry when the request opted in with ?ensemble=1, the detector
-// registry otherwise.
-func (s *Server) verdictorFor(ctx context.Context, r *http.Request, key string) (verdictor, string, error) {
-	if ensembleRequested(r.URL.Query().Get("ensemble")) {
-		ens, ekey, err := s.ensembleDetector(ctx, key)
-		return verdictor{ens: ens}, ekey, err
+// classifier resolves a classify request's key through the registry;
+// the key family decides the classifier. ?ensemble=1 (any true-ish
+// boolean) only supplies the default ensemble key when the request
+// names none, and makes a key of another family a client error. An
+// empty key without it is the default detector.
+func (s *Server) classifier(ctx context.Context, r *http.Request, key string) (Classifier, string, error) {
+	if ok, _ := strconv.ParseBool(r.URL.Query().Get("ensemble")); ok {
+		if key == "" {
+			key = EnsembleSpec{Quick: true, Seed: 1}.Key()
+		}
+		if _, ok := parseSpecKey(key, ensemblePrefix); !ok {
+			return nil, key, badRequestf("classify: %q is not an ensemble key (want ensemble:quick=...,seed=...)", key)
+		}
 	}
-	det, dkey, err := s.detector(ctx, key)
-	return verdictor{det: det}, dkey, err
+	if key == "" {
+		det, dkey, err := s.detector(ctx, "")
+		if err != nil {
+			return nil, dkey, err
+		}
+		return det, dkey, nil
+	}
+	c, _, err := s.reg.Lookup(ctx, key)
+	return c, key, err
 }
 
 // runStage runs one request's classify work on the handler goroutine:
@@ -770,7 +775,7 @@ func (s *Server) runStage(ctx context.Context, work func() error) error {
 // frames: build the pmu.Sample (wrap the vector, replay the trace, or
 // take the mapped perf capture), classify it, mirror the verdict to
 // the shadow scorer.
-func (s *Server) classify(ctx context.Context, vd verdictor, key string, req *ClassifyRequest, perf *perfCapture) (*ClassifyResponse, error) {
+func (s *Server) classify(ctx context.Context, c Classifier, key string, req *ClassifyRequest, perf *perfCapture) (*ClassifyResponse, error) {
 	var resp *ClassifyResponse
 	err := s.runStage(ctx, func() error {
 		var m measurement
@@ -781,19 +786,19 @@ func (s *Server) classify(ctx context.Context, vd verdictor, key string, req *Cl
 		case len(req.Trace) > 0:
 			m, err = s.replay(req.Trace, req.Seed)
 		default:
-			m.sample, err = vectorSample(vd, req.Events, req.Vector, req.SuspectEvents)
+			m.sample, err = vectorSample(c, req.Events, req.Vector, req.SuspectEvents)
 		}
 		if err != nil {
 			return err
 		}
-		rr, paths, err := s.verdict(vd, key, m)
+		rr, err := s.verdict(c, key, m)
 		if err != nil {
 			return err
 		}
 		resp = &ClassifyResponse{
 			Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
 			Suspects: rr.Suspects, Detector: key, Seconds: m.seconds,
-			Pathologies: paths,
+			Pathologies: rr.Pathologies,
 		}
 		return nil
 	})
@@ -823,25 +828,25 @@ type measurement struct {
 // verdict to the shadow scorer. A sample the client supplied that does
 // not classify is a client error; a failed replay measurement is the
 // server's.
-func (s *Server) verdict(vd verdictor, key string, m measurement) (core.RobustResult, []ensemble.PathologyScore, error) {
-	rr, paths, err := vd.classify(m.sample)
+func (s *Server) verdict(c Classifier, key string, m measurement) (core.RobustResult, error) {
+	rr, err := c.ClassifyRobust(m.sample)
 	if err != nil {
 		if m.kernels != nil {
-			return rr, nil, fmt.Errorf("classify: %w", err)
+			return rr, fmt.Errorf("classify: %w", err)
 		}
-		return rr, nil, badRequestf("classify: %v", err)
+		return rr, badRequestf("classify: %v", err)
 	}
 	s.mirror(key, rr.Class, rr.Confidence, m.sample, m.kernels)
-	return rr, paths, nil
+	return rr, nil
 }
 
 // vectorSample wraps a pre-normalized event vector in a synthetic
 // sample with an instruction normalizer of 1, so the values pass
 // through the detector's projection unchanged. Unnamed vectors take the
 // classifier's attribute order; suspect events are flagged stuck.
-func vectorSample(vd verdictor, events []string, vector []float64, suspects []string) (pmu.Sample, error) {
+func vectorSample(c Classifier, events []string, vector []float64, suspects []string) (pmu.Sample, error) {
 	if len(events) == 0 {
-		events = vd.attrs()
+		events = c.Features()
 		if len(events) != len(vector) {
 			return pmu.Sample{}, badRequestf("classify: detector expects %d events, vector has %d (name them via events)", len(events), len(vector))
 		}

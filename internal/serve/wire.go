@@ -27,7 +27,7 @@ import (
 	"math"
 	"sync"
 
-	"fsml/internal/ensemble"
+	"fsml/internal/core"
 	"fsml/internal/lifecycle"
 	"fsml/internal/report"
 )
@@ -83,9 +83,9 @@ type ClassifyResponse struct {
 	// onto the feature space (perf uploads only).
 	UnmappedEvents []string `json:"unmapped_events,omitempty"`
 	// Pathologies ranks every label the multi-pathology ensemble knows,
-	// descending by score (?ensemble=1 requests only). Class and
-	// Confidence mirror its top entry.
-	Pathologies []ensemble.PathologyScore `json:"pathologies,omitempty"`
+	// descending by score (ensemble: keys only). Class and Confidence
+	// mirror its top entry.
+	Pathologies []core.PathologyScore `json:"pathologies,omitempty"`
 }
 
 // ReportRequest is the body of POST /v1/report: a full report.Options
@@ -177,8 +177,9 @@ type ReadyResponse struct {
 	InflightClassify int `json:"inflight_classify"`
 	InflightReport   int `json:"inflight_report"`
 	InflightWatch    int `json:"inflight_watch"`
-	// OpenBreakers lists train-spec keys whose training circuit is
-	// open or probing (training keeps failing; requests fail fast).
+	// OpenBreakers lists train: and ensemble: keys whose training
+	// circuit is open or probing (training keeps failing; requests fail
+	// fast).
 	OpenBreakers []string `json:"open_breakers,omitempty"`
 	// Detectors is the resident registry size, as on /healthz.
 	Detectors int `json:"detectors"`

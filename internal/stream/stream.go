@@ -275,11 +275,10 @@ type EngineConfig struct {
 	MinInstructions float64
 }
 
-// Classifier is the per-window verdict source. core.Detector implements
-// it directly; the multi-pathology ensemble plugs in through its
-// core-compatible adapter (ensemble.RobustAdapter), so phase and drift
-// events carry whatever label space the classifier emits — the engine
-// never assumes the paper's three classes.
+// Classifier is the per-window verdict source. core.Detector and the
+// multi-pathology ensemble both implement it directly, so phase and
+// drift events carry whatever label space the classifier emits — the
+// engine never assumes the paper's three classes.
 type Classifier interface {
 	ClassifyRobust(s pmu.Sample) (core.RobustResult, error)
 }
