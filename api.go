@@ -57,6 +57,10 @@ type (
 	Array = mem.Array
 	// Detector is a trained false-sharing detector.
 	Detector = core.Detector
+	// Classifier turns one counter sample into one verdict. Both
+	// detector types implement it — *Detector and *EnsembleDetector —
+	// so ClassifyPerf and NewStreamEngine serve either.
+	Classifier = core.Classifier
 	// Observation is one measured run.
 	Observation = core.Observation
 	// Collector measures workloads with the emulated PMU.
@@ -839,8 +843,9 @@ func ParseWindowSpec(s string) (WindowSpec, error) { return stream.ParseWindowSp
 // DefaultWindowSpec returns the default window geometry (8:8:3).
 func DefaultWindowSpec() WindowSpec { return stream.DefaultWindowSpec() }
 
-// NewStreamEngine builds the pure windowed classifier.
-func NewStreamEngine(det *Detector, cfg StreamEngineConfig) (*StreamEngine, error) {
+// NewStreamEngine builds the pure windowed classifier around det,
+// either detector type.
+func NewStreamEngine(det Classifier, cfg StreamEngineConfig) (*StreamEngine, error) {
 	return stream.NewEngine(det, cfg)
 }
 
@@ -910,13 +915,16 @@ var ErrNoPerfNormalizer = perfingest.ErrNoNormalizer
 // `perf stat` (the latter two in plain or `-I <ms>` interval mode).
 func ParsePerf(r io.Reader) (*PerfReport, error) { return perfingest.Parse(r) }
 
-// ClassifyPerf classifies a parsed perf capture with det: the capture
-// is mapped onto the Table-2 feature space through the event-alias
-// table and classified robustly — features the capture did not measure
-// degrade the verdict's confidence (RobustResult.Degraded) instead of
-// failing it. The returned mapping says which perf events fed which
-// features, which were unmapped, and which features went uncovered.
-func ClassifyPerf(det *Detector, rep *PerfReport) (RobustResult, *PerfMapping, error) {
+// ClassifyPerf classifies a parsed perf capture with det, either
+// detector type: the capture is mapped onto the Table-2 feature space
+// (plus the remote-DRAM counter when it was measured) through the
+// event-alias table and classified robustly — features the capture did
+// not measure degrade the verdict's confidence (RobustResult.Degraded)
+// instead of failing it. An *EnsembleDetector degrades per committee
+// member and names the attributes the capture lacks in MissingEvents.
+// The returned mapping says which perf events fed which features,
+// which were unmapped, and which features went uncovered.
+func ClassifyPerf(det Classifier, rep *PerfReport) (RobustResult, *PerfMapping, error) {
 	sample, mapping, err := rep.Sample()
 	if err != nil {
 		return RobustResult{}, nil, err
@@ -1027,23 +1035,6 @@ func EncodeEnsemble(d *EnsembleDetector) ([]byte, error) { return d.Encode() }
 
 // DecodeEnsemble parses an ensemble serialized by EncodeEnsemble.
 func DecodeEnsemble(data []byte) (*EnsembleDetector, error) { return ensemble.Decode(data) }
-
-// ClassifyPerfEnsemble classifies a parsed perf capture with the
-// multi-pathology ensemble. Features the capture did not measure —
-// commonly the remote-DRAM counter — degrade the affected committee
-// members per-member (EnsembleResult.MissingEvents names them) instead
-// of failing the request.
-func ClassifyPerfEnsemble(det *EnsembleDetector, rep *PerfReport) (EnsembleResult, *PerfMapping, error) {
-	sample, mapping, err := rep.Sample()
-	if err != nil {
-		return EnsembleResult{}, nil, err
-	}
-	res, err := det.ClassifyRobust(sample)
-	if err != nil {
-		return EnsembleResult{}, nil, err
-	}
-	return res, mapping, nil
-}
 
 // ---------------------------------------------------------------------------
 // Fleet serving: a consistent-hash coordinator over many detection

@@ -19,10 +19,12 @@ go test -race -count=1 ./internal/sched ./internal/core ./internal/suite \
 go test -race -count=1 -run TestChaos ./internal/serve ./internal/fleet
 # Classification runs inline on each handler goroutine, concurrently
 # with the registry and the lifecycle mirror: repeat the concurrent
-# classify burst, the classify-storm-across-promotion test and the cold
+# classify burst, the classify-storm-across-promotion test, the cold
 # concurrent detector + ensemble classifies (the ensemble trainer's
-# nested registry Get) under the race detector.
-go test -race -count=10 -run 'TestServeConcurrentMatchesSequential|TestChaosDriftRetrainPromoteRollback|TestColdConcurrentClassifiesTrainOnce' ./internal/serve
+# nested registry Get) and the client's binary frames answered before
+# they are sent (a frame net/http is still writing must never be
+# reused) under the race detector.
+go test -race -count=10 -run 'TestServeConcurrentMatchesSequential|TestChaosDriftRetrainPromoteRollback|TestColdConcurrentClassifiesTrainOnce|TestClassifyBinaryFrameNotReusedInFlight' ./internal/serve
 go test -run '^$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
 # The byte-level trace parser must accept the same traces and fail with
 # the same errors as the strings-based reference parser.

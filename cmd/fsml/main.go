@@ -397,45 +397,30 @@ func classifyPerf(path, server string, retries int, model string, quick bool, jo
 	if server != "" {
 		c := fsml.NewServeClient(server)
 		c.Retry = fsml.ServeRetryPolicy{Max: retries}
-		var resp *fsml.ClassifyResponse
+		key := "" // the server's default detector
 		if ens {
-			resp, err = c.ClassifyPerfEnsemble(context.Background(), "", data)
-		} else {
-			resp, err = c.ClassifyPerf(context.Background(), "", data)
+			key = fsml.EnsembleDetectorSpec{Quick: true, Seed: 1}.Key()
 		}
+		resp, err := c.ClassifyPerf(context.Background(), key, data)
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
-		fmt.Printf("%-24s %-8s (confidence %.3f, %s format, detector %s)\n",
-			label, resp.Class, resp.Confidence, resp.PerfFormat, resp.Detector)
-		for _, p := range resp.Pathologies {
-			fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
-		}
-		printPerfCaveats(resp.Degraded, resp.Suspects, resp.UnmappedEvents)
+		rr := fsml.RobustResult{Class: resp.Class, Confidence: resp.Confidence, Degraded: resp.Degraded, Pathologies: resp.Pathologies}
+		printPerfVerdict(label, 8, rr, fmt.Sprintf("%s format, detector %s", resp.PerfFormat, resp.Detector), resp.Suspects, resp.UnmappedEvents)
 		return nil
 	}
 	rep, err := fsml.ParsePerf(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
+	var det fsml.Classifier
+	width := 8
 	if ens {
-		det, err := loadEnsemble(model, quick, jobs)
-		if err != nil {
-			return err
-		}
-		res, mapping, err := fsml.ClassifyPerfEnsemble(det, rep)
-		if err != nil {
-			return fmt.Errorf("%s: %w", label, err)
-		}
-		fmt.Printf("%-24s %-12s (confidence %.3f, %s format, %d events)\n",
-			label, res.Class, res.Confidence, rep.Format, len(rep.Events))
-		for _, p := range res.Pathologies {
-			fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
-		}
-		printPerfCaveats(res.Degraded, res.MissingEvents, mapping.Unmapped)
-		return nil
+		det, err = loadEnsemble(model, quick, jobs)
+		width = 12 // the ensemble's labels run to "bw-saturated"
+	} else {
+		det, err = loadOrTrain(model, quick, jobs)
 	}
-	det, err := loadOrTrain(model, quick, jobs)
 	if err != nil {
 		return err
 	}
@@ -443,10 +428,23 @@ func classifyPerf(path, server string, retries int, model string, quick bool, jo
 	if err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
-	fmt.Printf("%-24s %-8s (confidence %.3f, %s format, %d events)\n",
-		label, rr.Class, rr.Confidence, rep.Format, len(rep.Events))
-	printPerfCaveats(rr.Degraded, mapping.Missing, mapping.Unmapped)
+	missing := mapping.Missing
+	if ens {
+		missing = rr.MissingEvents
+	}
+	printPerfVerdict(label, width, rr, fmt.Sprintf("%s format, %d events", rep.Format, len(rep.Events)), missing, mapping.Unmapped)
 	return nil
+}
+
+// printPerfVerdict renders one perf verdict: the class in a column
+// width wide, the confidence and where the verdict came from, the
+// ranked pathologies (ensemble verdicts only), then the caveats.
+func printPerfVerdict(label string, width int, rr fsml.RobustResult, source string, missing, unmapped []string) {
+	fmt.Printf("%-24s %-*s (confidence %.3f, %s)\n", label, width, rr.Class, rr.Confidence, source)
+	for _, p := range rr.Pathologies {
+		fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
+	}
+	printPerfCaveats(rr.Degraded, missing, unmapped)
 }
 
 // printPerfCaveats renders the partial-coverage warnings of a perf

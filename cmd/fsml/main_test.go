@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -195,5 +196,54 @@ func TestCmdReport(t *testing.T) {
 	}
 	if err := cmdReport([]string{"-quick", "-model", model(t), "dedup"}); err == nil {
 		t.Errorf("dedup should fail with the footnote")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		blob, _ := io.ReadAll(r)
+		out <- string(blob)
+	}()
+	runErr := fn()
+	os.Stdout = orig
+	w.Close()
+	printed := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return printed
+}
+
+// TestCmdClassifyPerfOutput pins `fsml classify -perf` stdout for a
+// clean capture and one missing most events, classified locally with
+// the committed quick detector.
+func TestCmdClassifyPerfOutput(t *testing.T) {
+	const fixtures = "../../internal/perfingest/testdata/"
+	model := filepath.Join("..", "..", "testdata", "quick_detector.golden.json")
+	for _, tc := range []struct{ fixture, want string }{
+		{"stat_human", fixtures + "stat_human.txt bad-fs   (confidence 1.000, stat format, 18 events)\n" +
+			"  unmapped perf events (ignored): LLC-loads, L1-icache-load-misses\n"},
+		{"stat_missing", fixtures + "stat_missing.txt good     (confidence 0.578, stat format, 7 events)\n" +
+			"  degraded: missing events OFFCORE_REQUESTS.DEMAND.READ_DATA, L2_TRANSACTIONS.FILL, L2_LINES_IN.S_STATE, " +
+			"L2_LINES_OUT.DEMAND_CLEAN, SNOOP_RESPONSE.HIT, SNOOP_RESPONSE.HITE, SNOOP_RESPONSE.HITM, " +
+			"MEM_LOAD_RETIRED.HIT_LFB, RESOURCE_STALLS.LOAD\n"},
+	} {
+		got := captureStdout(t, func() error {
+			return cmdClassify([]string{"-perf", fixtures + tc.fixture + ".txt", "-model", model})
+		})
+		if got != tc.want {
+			t.Errorf("%s:\ngot  %q\nwant %q", tc.fixture, got, tc.want)
+		}
 	}
 }

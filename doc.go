@@ -69,12 +69,16 @@
 //     array form (FlatTree) for allocation-free batch inference,
 //     bit-identical to the pointer tree
 //   - internal/core — event selection, training-data collection, the
-//     detector
+//     detector, and core.Classifier, the one seam (sample in, verdict
+//     out) that the batch sweep, the stream engine, the serving
+//     registry and fsml.ClassifyPerf take, so each serves the 3-class
+//     detector and the ensemble alike
 //   - internal/ensemble — the multi-pathology ensemble: per-class
 //     bagged C4.5 committees around the untouched 3-class tree,
 //     ranking good/bad-fs/bad-ma/tlb-thrash/numa-remote/bw-saturated
 //     with calibrated scores, behind `fsml train -ensemble`,
-//     `fsml classify -ensemble` and POST /v1/classify?ensemble=1
+//     `fsml classify -ensemble` and POST /v1/classify with an
+//     ensemble: key
 //   - internal/suite — Phoenix and PARSEC workload analogs (§4)
 //   - internal/shadow, internal/sheriff — the verification and
 //     comparison baselines
@@ -83,7 +87,8 @@
 //     service: inline inference on each request's handler goroutine,
 //     model registry, admission control and circuit breakers, plus a
 //     length-prefixed binary classify protocol (POST /v1/classify-bin)
-//     whose vector frames classify as one columnar batch
+//     whose vector frames classify as one columnar batch; its client
+//     sends every verb through one attempt function and one retry loop
 //   - internal/stream — online streaming detection: sliding-window
 //     classification with phase and drift tracking, behind GET
 //     /v1/watch and `fsml watch`

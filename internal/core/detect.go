@@ -175,8 +175,9 @@ type BatchCase struct {
 // collector's Parallelism workers and returns the results in submission
 // order. build(i) is invoked inside the worker, so kernel construction
 // (which lays out the case's address space) parallelizes along with the
-// simulation. Classification uses the detector read-only; results are
-// bit-identical at every parallelism level.
+// simulation. Classification uses det read-only — the 3-class detector
+// or the multi-pathology ensemble alike; results are bit-identical at
+// every parallelism level.
 //
 // The batch is fault-hardened: a transiently unusable measurement is
 // retried up to c.Retries times with a re-derived seed (build(i) runs
@@ -184,15 +185,7 @@ type BatchCase struct {
 // degrade to a partial-subset prediction with a recorded confidence
 // downgrade, and with c.Tolerate a case that still fails becomes a
 // Failed result row instead of aborting the sweep.
-func (c *Collector) BatchClassify(ctx context.Context, det *Detector, n int, build func(i int) BatchCase) ([]CaseResult, error) {
-	return c.BatchClassifyFunc(ctx, det.ClassifyRobust, n, build)
-}
-
-// BatchClassifyFunc is BatchClassify over an arbitrary robust
-// classifier — anything with ClassifyRobust's shape, e.g. the
-// multi-pathology ensemble. Measurement, retries, fault tolerance and
-// determinism are identical to BatchClassify.
-func (c *Collector) BatchClassifyFunc(ctx context.Context, classify func(pmu.Sample) (RobustResult, error), n int, build func(i int) BatchCase) ([]CaseResult, error) {
+func (c *Collector) BatchClassify(ctx context.Context, det Classifier, n int, build func(i int) BatchCase) ([]CaseResult, error) {
 	return sched.Map(ctx, n, c.schedOptions(), func(_ context.Context, i int) (CaseResult, error) {
 		attempts := c.Retries + 1
 		var bc BatchCase
@@ -218,7 +211,7 @@ func (c *Collector) BatchClassifyFunc(ctx context.Context, classify func(pmu.Sam
 			}
 			return CaseResult{}, perr
 		}
-		rr, err := classify(obs.Sample)
+		rr, err := det.ClassifyRobust(obs.Sample)
 		if err != nil {
 			perr := &PipelineError{Stage: StageClassify, Case: bc.Desc, Attempts: attempts, Err: err}
 			if c.Tolerate {

@@ -137,6 +137,14 @@ type RobustResult struct {
 	MissingEvents []string
 }
 
+// Classifier turns one counter sample into one verdict. It is the one
+// classification seam: *Detector and the multi-pathology ensemble both
+// implement it, and the batch sweep, the streaming engine and the
+// serving registry all take it.
+type Classifier interface {
+	ClassifyRobust(s pmu.Sample) (RobustResult, error)
+}
+
 // ClassifyRobust labels a sample the way Classify does, but survives
 // flagged counter reads (see pmu.CountFlag): suspect events become
 // missing values, the tree predicts on the surviving subset by blending

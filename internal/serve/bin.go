@@ -14,16 +14,14 @@ package serve
 // (shed 429, shutdown 503) stay JSON so the client's retry classifier
 // is shared with the JSON path, while handler errors are rendered as
 // binary error frames with the same HTTP status the JSON path would
-// use. The client branches on Content-Type and folds both into APIError.
+// use. The client's one error decoder branches on Content-Type and
+// folds both into APIError.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"fsml/internal/core"
@@ -173,75 +171,34 @@ func (s *Server) writeBinError(w http.ResponseWriter, err error) {
 // handler, JSON bodies from the admission middleware — both surface as
 // *APIError, so the retry policy treats the binary path exactly like
 // the JSON one (shed and shutdown responses retry for every verb).
+//
+// The request frame is a fresh slice per call, never a pooled buffer:
+// net/http may still be writing the body after Do returns (the server
+// can answer a shed or a 4xx before reading it), so a buffer handed
+// back to a pool could be overwritten while it is on the wire.
 func (c *Client) ClassifyBinary(ctx context.Context, req *BinClassifyRequest) (*BinClassifyResponse, error) {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	frame, err := AppendBinRequest(*buf, req)
+	frame, err := AppendBinRequest(nil, req)
 	if err != nil {
 		return nil, err
 	}
-	*buf = frame
-	for attempt := 0; ; attempt++ {
-		resp, err := c.binRoundTrip(ctx, frame)
-		if err == nil {
-			return resp, nil
+	var out *BinClassifyResponse
+	err = c.do(ctx, http.MethodPost, "/v1/classify-bin", contentTypeBin, frame, func(httpResp *http.Response) error {
+		blob, err := readBody(httpResp, maxBodyBytes+8)
+		if err != nil {
+			return err
 		}
-		ok, hint := retryable(http.MethodPost, err)
-		if !ok || attempt >= c.Retry.Max {
-			return nil, err
+		resp, errFrame, err := DecodeBinResponse(blob)
+		if err != nil {
+			return err
 		}
-		delay := c.Retry.Backoff.Delay(attempt)
-		if hint > delay {
-			delay = hint
+		if errFrame != nil {
+			return &APIError{Status: errFrame.Status, Message: errFrame.Message}
 		}
-		if serr := c.Retry.sleep(ctx, delay); serr != nil {
-			return nil, serr
-		}
-	}
-}
-
-// binRoundTrip performs one binary attempt.
-func (c *Client) binRoundTrip(ctx context.Context, frame []byte) (*BinClassifyResponse, error) {
-	target, err := c.endpoint("/v1/classify-bin")
+		out = resp
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(frame))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", contentTypeBin)
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	httpResp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes+8))
-	if err != nil {
-		return nil, err
-	}
-	retryAfter := parseRetryAfter(httpResp.Header.Get("Retry-After"), time.Now())
-	if !strings.HasPrefix(httpResp.Header.Get("Content-Type"), contentTypeBin) {
-		// The admission middleware (shed, shutdown) answers in JSON.
-		apiErr := &APIError{Status: httpResp.StatusCode, RetryAfter: retryAfter}
-		var e ErrorResponse
-		if json.Unmarshal(blob, &e) == nil && e.Error != "" {
-			apiErr.Message = e.Error
-		} else {
-			apiErr.Message = strings.TrimSpace(string(blob))
-		}
-		return nil, apiErr
-	}
-	resp, errFrame, err := DecodeBinResponse(blob)
-	if err != nil {
-		return nil, err
-	}
-	if errFrame != nil {
-		return nil, &APIError{Status: errFrame.Status, Message: errFrame.Message, RetryAfter: retryAfter}
-	}
-	return resp, nil
+	return out, nil
 }

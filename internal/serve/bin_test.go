@@ -11,13 +11,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"fsml/internal/core"
@@ -276,6 +279,40 @@ func TestClassifyBinErrors(t *testing.T) {
 	if errFrame.Status != http.StatusBadRequest {
 		t.Errorf("error frame status %d, want 400", errFrame.Status)
 	}
+}
+
+// TestClassifyBinaryFrameNotReusedInFlight pins that the client never
+// recycles a request frame net/http may still be sending. A server that
+// answers 400 without reading the body lets Do return while the
+// transport's writer is still copying a large frame onto the wire; a
+// frame handed back to a pool at that point was overwritten by the next
+// call's encode, which the race detector reports (run with -race).
+func TestClassifyBinaryFrameNotReusedInFlight(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "rejected unread"})
+	}))
+	defer hs.Close()
+	client := NewClient(hs.URL)
+	trace := bytes.Repeat([]byte("T0 S 0x1000 x8\n"), 6<<20/15) // ~6 MB
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				req := &BinClassifyRequest{Trace: trace, Seed: uint64(g*20 + i)}
+				// The answer may be the 400 or a reset connection; either
+				// way the call must fail, and must not race.
+				if _, err := client.ClassifyBinary(context.Background(), req); err == nil {
+					t.Errorf("goroutine %d call %d: an unread 400 came back as success", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // FuzzDecodeFrame throws arbitrary bytes at both decoders and asserts

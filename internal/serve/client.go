@@ -163,18 +163,18 @@ func retryable(method string, err error) (ok bool, hint time.Duration) {
 	return method == http.MethodGet, 0
 }
 
-// do runs one JSON round trip with the client's retry policy. out may
-// be nil.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var blob []byte
-	if in != nil {
-		var err error
-		if blob, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
+// do runs one request under the client's retry policy; every verb
+// except the unretried probes (Ready, MetricsText) goes through it. An
+// attempt is send plus, on a 2xx, read, which consumes the response
+// (closing its body or keeping it for the caller). A failed attempt is
+// retried only when retryable says the verb may, after the larger of
+// the backoff delay and the server's Retry-After hint.
+func (c *Client) do(ctx context.Context, method, path, mediaType string, body []byte, read func(*http.Response) error) error {
 	for attempt := 0; ; attempt++ {
-		err := c.roundTrip(ctx, method, path, blob, in != nil, out)
+		resp, err := c.send(ctx, method, path, mediaType, body)
+		if err == nil {
+			err = read(resp)
+		}
 		if err == nil {
 			return nil
 		}
@@ -192,22 +192,25 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 }
 
-// roundTrip performs one attempt.
-func (c *Client) roundTrip(ctx context.Context, method, path string, blob []byte, hasBody bool, out any) error {
-	var body io.Reader
-	if hasBody {
-		body = bytes.NewReader(blob)
-	}
+// send performs one HTTP attempt. mediaType is the body's Content-Type;
+// a GET carries no body, so for it mediaType is the Accept type. A 2xx
+// response is returned open for the caller to read; any other status is
+// read, closed and decoded into an *APIError.
+func (c *Client) send(ctx context.Context, method, path, mediaType string, body []byte) (*http.Response, error) {
 	target, err := c.endpoint(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, method, target, body)
+	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if hasBody {
-		req.Header.Set("Content-Type", "application/json")
+	if mediaType != "" {
+		if method == http.MethodGet {
+			req.Header.Set("Accept", mediaType)
+		} else {
+			req.Header.Set("Content-Type", mediaType)
+		}
 	}
 	hc := c.HTTPClient
 	if hc == nil {
@@ -215,27 +218,70 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, blob []byte
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	respBlob, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	if resp.StatusCode/100 != 2 {
+		return nil, decodeAPIError(resp)
+	}
+	return resp, nil
+}
+
+// decodeAPIError reads and closes a non-2xx response and renders it as
+// an *APIError. The format follows the Content-Type: a binary error
+// frame from the frame endpoint's handler, else a JSON ErrorResponse
+// (every other handler and the admission middleware), else the trimmed
+// text of whatever answered (a proxy, a stub).
+func decodeAPIError(resp *http.Response) error {
+	blob, err := readBody(resp, maxBodyBytes)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
-		var e ErrorResponse
-		if json.Unmarshal(respBlob, &e) == nil && e.Error != "" {
-			apiErr.Message = e.Error
-		} else {
-			apiErr.Message = strings.TrimSpace(string(respBlob))
+	apiErr := &APIError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), contentTypeBin) {
+		if _, errFrame, err := DecodeBinResponse(blob); err == nil && errFrame != nil {
+			apiErr.Status, apiErr.Message = errFrame.Status, errFrame.Message
+			return apiErr
 		}
-		return apiErr
 	}
-	if out == nil {
-		return nil
+	var e ErrorResponse
+	if json.Unmarshal(blob, &e) == nil && e.Error != "" {
+		apiErr.Message = e.Error
+	} else {
+		apiErr.Message = strings.TrimSpace(string(blob))
 	}
-	return json.Unmarshal(respBlob, out)
+	return apiErr
+}
+
+// readBody reads a response body, capped at limit bytes, and closes it.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	defer resp.Body.Close()
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
+}
+
+// doJSON runs a JSON verb: in (nil = no body) is marshalled once and
+// the 2xx body is decoded into out (nil = discarded).
+func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) error {
+	var blob []byte
+	mediaType := ""
+	if in != nil {
+		var err error
+		if blob, err = json.Marshal(in); err != nil {
+			return err
+		}
+		mediaType = "application/json"
+	}
+	return c.do(ctx, method, path, mediaType, blob, readJSON(out))
+}
+
+// readJSON returns the read step of a verb with a JSON response.
+func readJSON(out any) func(*http.Response) error {
+	return func(resp *http.Response) error {
+		blob, err := readBody(resp, maxBodyBytes)
+		if err != nil || out == nil {
+			return err
+		}
+		return json.Unmarshal(blob, out)
+	}
 }
 
 // parseRetryAfter reads a Retry-After header in either RFC 9110 form:
@@ -266,22 +312,12 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 	return d
 }
 
-// Classify posts one classification request.
+// Classify posts one classification request. req.Detector's key
+// family picks the model: an "ensemble:..." key (EnsembleSpec.Key)
+// answers with the multi-pathology ensemble's ranked Pathologies.
 func (c *Client) Classify(ctx context.Context, req ClassifyRequest) (*ClassifyResponse, error) {
 	var out ClassifyResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/classify", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ClassifyEnsemble posts one classification request to the
-// multi-pathology ensemble (?ensemble=1): the response's Pathologies
-// ranks every label the ensemble knows. req.Detector selects an
-// "ensemble:..." key ("" = the server's default ensemble spec).
-func (c *Client) ClassifyEnsemble(ctx context.Context, req ClassifyRequest) (*ClassifyResponse, error) {
-	var out ClassifyResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/classify?ensemble=1", req, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/classify", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -292,87 +328,17 @@ func (c *Client) ClassifyEnsemble(ctx context.Context, req ClassifyRequest) (*Cl
 // verbatim under the PerfContentType media type, the server maps it
 // onto the detector's feature space, and events the capture is missing
 // degrade the verdict instead of failing it. detector selects a
-// registry key ("" = server default). Retries follow the client's
-// policy, exactly as for Classify.
+// registry key ("" = server default); an "ensemble:..." key ranks the
+// capture with the ensemble, whose members degrade per-member on the
+// counters the capture lacks. Retries follow the client's policy,
+// exactly as for Classify.
 func (c *Client) ClassifyPerf(ctx context.Context, detector string, perf []byte) (*ClassifyResponse, error) {
-	return c.classifyPerf(ctx, detector, perf, false)
-}
-
-// ClassifyPerfEnsemble is ClassifyPerf against the multi-pathology
-// ensemble (?ensemble=1). Counters the capture is missing — commonly
-// the remote-DRAM event — degrade the affected members per-member
-// rather than failing the request.
-func (c *Client) ClassifyPerfEnsemble(ctx context.Context, detector string, perf []byte) (*ClassifyResponse, error) {
-	return c.classifyPerf(ctx, detector, perf, true)
-}
-
-func (c *Client) classifyPerf(ctx context.Context, detector string, perf []byte, ens bool) (*ClassifyResponse, error) {
-	q := url.Values{}
-	if detector != "" {
-		q.Set("detector", detector)
-	}
-	if ens {
-		q.Set("ensemble", "1")
-	}
 	path := "/v1/classify"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	for attempt := 0; ; attempt++ {
-		out, err := c.perfRoundTrip(ctx, path, perf)
-		if err == nil {
-			return out, nil
-		}
-		ok, hint := retryable(http.MethodPost, err)
-		if !ok || attempt >= c.Retry.Max {
-			return nil, err
-		}
-		delay := c.Retry.Backoff.Delay(attempt)
-		if hint > delay {
-			delay = hint
-		}
-		if serr := c.Retry.sleep(ctx, delay); serr != nil {
-			return nil, serr
-		}
-	}
-}
-
-// perfRoundTrip performs one raw perf-upload attempt.
-func (c *Client) perfRoundTrip(ctx context.Context, path string, perf []byte) (*ClassifyResponse, error) {
-	target, err := c.endpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(perf))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", PerfContentType)
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
-		var e ErrorResponse
-		if json.Unmarshal(blob, &e) == nil && e.Error != "" {
-			apiErr.Message = e.Error
-		} else {
-			apiErr.Message = strings.TrimSpace(string(blob))
-		}
-		return nil, apiErr
+	if detector != "" {
+		path += "?" + url.Values{"detector": {detector}}.Encode()
 	}
 	var out ClassifyResponse
-	if err := json.Unmarshal(blob, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, PerfContentType, perf, readJSON(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -381,7 +347,7 @@ func (c *Client) perfRoundTrip(ctx context.Context, path string, perf []byte) (*
 // Report posts one report sweep request.
 func (c *Client) Report(ctx context.Context, req ReportRequest) (*ReportResponse, error) {
 	var out ReportResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/report", req, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/report", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -392,7 +358,7 @@ func (c *Client) Report(ctx context.Context, req ReportRequest) (*ReportResponse
 func (c *Client) RegisterDetector(ctx context.Context, model []byte) (*RegisterResponse, error) {
 	var out RegisterResponse
 	req := RegisterRequest{Model: json.RawMessage(model)}
-	if err := c.do(ctx, http.MethodPost, "/v1/detectors", req, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/detectors", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -403,7 +369,7 @@ func (c *Client) RegisterDetector(ctx context.Context, model []byte) (*RegisterR
 func (c *Client) Train(ctx context.Context, spec TrainSpec) (*RegisterResponse, error) {
 	var out RegisterResponse
 	req := RegisterRequest{Train: &TrainSpecRequest{Quick: spec.Quick, Seed: spec.Seed}}
-	if err := c.do(ctx, http.MethodPost, "/v1/detectors", req, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/detectors", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -412,7 +378,7 @@ func (c *Client) Train(ctx context.Context, spec TrainSpec) (*RegisterResponse, 
 // Detectors lists the server's registry.
 func (c *Client) Detectors(ctx context.Context) (*DetectorsResponse, error) {
 	var out DetectorsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/detectors", nil, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/detectors", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -421,7 +387,7 @@ func (c *Client) Detectors(ctx context.Context) (*DetectorsResponse, error) {
 // Health checks liveness.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -433,29 +399,19 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 // for transport and decoding failures. Readiness probes are exempt from
 // the retry policy: a prober wants the current answer, not a padded one.
 func (c *Client) Ready(ctx context.Context) (*ReadyResponse, error) {
-	target, err := c.endpoint("/readyz")
+	var blob []byte
+	resp, err := c.send(ctx, http.MethodGet, "/readyz", "", nil)
+	var apiErr *APIError
+	switch {
+	case err == nil:
+		blob, err = readBody(resp, maxBodyBytes)
+	case errors.As(err, &apiErr) && apiErr.Status == http.StatusServiceUnavailable:
+		// The not-ready body is a ReadyResponse, which carries no
+		// "error" field, so the decoder kept it whole as the message.
+		blob, err = []byte(apiErr.Message), nil
+	}
 	if err != nil {
 		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return nil, err
-	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return nil, &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(blob))}
 	}
 	var out ReadyResponse
 	if err := json.Unmarshal(blob, &out); err != nil {
@@ -475,37 +431,22 @@ func (c *Client) Lifecycle(ctx context.Context, limit int) (*LifecycleResponse, 
 		path += "?limit=0"
 	}
 	var out LifecycleResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, path, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// MetricsText fetches the raw metrics exposition.
+// MetricsText fetches the raw metrics exposition. Like Ready, it is a
+// probe and is not retried.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	target, err := c.endpoint("/metrics")
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	blob, err := readBody(resp, maxBodyBytes)
 	if err != nil {
 		return "", err
-	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(blob))}
 	}
 	return string(blob), nil
 }

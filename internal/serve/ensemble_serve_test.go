@@ -1,7 +1,8 @@
 package serve
 
-// Tests of the ensemble side of the serving layer: key parsing, the
-// ?ensemble=1 classify path, ensemble keys' warm start, quarantine and
+// Tests of the ensemble side of the serving layer: key parsing,
+// classifying with an ensemble key (and the ?ensemble=1 route that
+// defaults to one), ensemble keys' warm start, quarantine and
 // circuit breaker in the one registry, and the detector listing. Like the rest of the suite,
 // almost everything runs against a tiny hand-built model; only
 // TestEnsembleTrainsBaseOnce pays for real quick training, because it
@@ -10,11 +11,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,6 +107,45 @@ func newEnsembleTestServer(t testing.TB) (*Server, *Client) {
 	})
 }
 
+// defaultEnsembleKey is the key the ?ensemble=1 route fills in when a
+// request names none.
+var defaultEnsembleKey = EnsembleSpec{Quick: true, Seed: 1}.Key()
+
+// ensembleRequest is req addressed to the default ensemble by key.
+func ensembleRequest(req ClassifyRequest) ClassifyRequest {
+	req.Detector = defaultEnsembleKey
+	return req
+}
+
+// postEnsembleRoute posts req as JSON to POST /v1/classify?ensemble=1,
+// the server route that defaults the key to the ensemble's, and
+// returns the status with the decoded body: the verdict on 200, the
+// error message otherwise.
+func postEnsembleRoute(t *testing.T, base string, req ClassifyRequest) (int, *ClassifyResponse, string) {
+	t.Helper()
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/classify?ensemble=1", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("decoding %d error body: %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, nil, e.Error
+	}
+	var out ClassifyResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, &out, ""
+}
+
 func TestEnsembleSpecKeyRoundTrip(t *testing.T) {
 	for _, spec := range []EnsembleSpec{
 		{Quick: true, Seed: 1},
@@ -158,14 +200,14 @@ func TestEnsembleTrainsBaseOnce(t *testing.T) {
 	if _, err := client.Classify(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.ClassifyEnsemble(ctx, req); err != nil {
+	if _, err := client.Classify(ctx, ensembleRequest(req)); err != nil {
 		t.Fatal(err)
 	}
 	if n := trains.Load(); n != 1 {
 		t.Errorf("base detector trained %d times, want 1", n)
 	}
 
-	c, _, err := s.reg.Lookup(ctx, EnsembleSpec{Quick: true, Seed: 1}.Key())
+	c, _, err := s.reg.Lookup(ctx, defaultEnsembleKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,23 +236,31 @@ func TestEnsembleTrainsBaseOnce(t *testing.T) {
 	}
 }
 
-// TestClassifyEnsembleEndToEnd drives POST /v1/classify?ensemble=1
-// through the real HTTP stack and checks the ranked multi-label verdict;
-// the same vector without the opt-in must keep the single-detector wire
-// shape (no pathologies field).
-func TestClassifyEnsembleEndToEnd(t *testing.T) {
+// TestClassifyRouteEnsembleDefaultKey drives POST /v1/classify?ensemble=1
+// through the real HTTP stack: a request naming no key gets the default
+// ensemble's ranked multi-label verdict, the same one a plain classify
+// naming that key gets. The same vector without either must keep the
+// single-detector wire shape (no pathologies field).
+func TestClassifyRouteEnsembleDefaultKey(t *testing.T) {
 	_, client := newEnsembleTestServer(t)
 	req := ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", 99)}
 
-	resp, err := client.ClassifyEnsemble(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	status, resp, msg := postEnsembleRoute(t, client.BaseURL, req)
+	if status != http.StatusOK {
+		t.Fatalf("?ensemble=1 answered %d: %s", status, msg)
 	}
 	if resp.Class != "tlb-thrash" {
 		t.Errorf("top class %q, want tlb-thrash (pathologies %v)", resp.Class, resp.Pathologies)
 	}
-	if want := (EnsembleSpec{Quick: true, Seed: 1}).Key(); resp.Detector != want {
-		t.Errorf("detector key %q, want %q", resp.Detector, want)
+	if resp.Detector != defaultEnsembleKey {
+		t.Errorf("detector key %q, want %q", resp.Detector, defaultEnsembleKey)
+	}
+	byKey, err := client.Classify(context.Background(), ensembleRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(byKey, resp) {
+		t.Errorf("classify by key = %+v, want the ?ensemble=1 verdict %+v", byKey, resp)
 	}
 	if len(resp.Pathologies) != 3 {
 		t.Fatalf("got %d pathologies, want 3: %v", len(resp.Pathologies), resp.Pathologies)
@@ -245,29 +295,28 @@ func TestClassifyEnsembleEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClassifyEnsembleRejectsForeignKey pins that the two key families
+// TestClassifyRouteEnsembleRejectsForeignKey pins that the two key families
 // do not decode into each other: asking the ensemble path for a
 // single-detector key is a client error, not a silent fallback.
-func TestClassifyEnsembleRejectsForeignKey(t *testing.T) {
+func TestClassifyRouteEnsembleRejectsForeignKey(t *testing.T) {
 	_, client := newEnsembleTestServer(t)
 	req := ClassifyRequest{
 		Detector: TrainSpec{Quick: true, Seed: 1}.Key(),
 		Events:   tinyWideAttrs, Vector: tinyWideVector("good", 3),
 	}
-	_, err := client.ClassifyEnsemble(context.Background(), req)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("got %v, want a 400 APIError", err)
+	status, _, msg := postEnsembleRoute(t, client.BaseURL, req)
+	if status != http.StatusBadRequest {
+		t.Fatalf("got %d (%s), want 400", status, msg)
 	}
-	if !strings.Contains(apiErr.Message, "not an ensemble key") {
-		t.Errorf("error %q does not name the key family mismatch", apiErr.Message)
+	if !strings.Contains(msg, "not an ensemble key") {
+		t.Errorf("error %q does not name the key family mismatch", msg)
 	}
 }
 
 // TestClassifyKeyFamilyDecides pins that the key family, not the
 // ?ensemble=1 opt-in, decides the classifier: a plain classify naming a
-// persisted ensemble key gets the ranked ensemble verdict, and the
-// ensemble's model file is neither misread as a detector nor
+// persisted ensemble key gets the ensemble's own ranked verdict, and
+// the ensemble's model file is neither misread as a detector nor
 // quarantined.
 func TestClassifyKeyFamilyDecides(t *testing.T) {
 	dir := t.TempDir()
@@ -277,17 +326,16 @@ func TestClassifyKeyFamilyDecides(t *testing.T) {
 		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) { return ens, nil },
 	})
 	ctx := context.Background()
-	req := ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", 4)}
-	want, err := client.ClassifyEnsemble(ctx, req)
+	req := ensembleRequest(ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", 4)})
+	want, err := ens.ClassifyRobust(vecSample(req.Events, req.Vector))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Detector = want.Detector
 	got, err := client.Classify(ctx, req)
 	if err != nil {
 		t.Fatalf("plain classify of %s: %v", req.Detector, err)
 	}
-	if got.Class != want.Class || len(got.Pathologies) != len(want.Pathologies) {
+	if got.Class != want.Class || !reflect.DeepEqual(got.Pathologies, want.Pathologies) {
 		t.Errorf("plain classify of %s = %+v, want the ensemble verdict %+v", req.Detector, got, want)
 	}
 	path := filepath.Join(dir, "ensemble-quick=true,seed=1.json")
@@ -394,7 +442,7 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 
 // TestEnsembleTrainingBreakerOpens pins that an ensemble spec whose
 // training keeps failing trips the registry's circuit breaker: after
-// BreakerThreshold failures the next ?ensemble=1 classify fails fast
+// BreakerThreshold failures the next classify by ensemble key fails fast
 // with 503 and Retry-After without calling the trainer, and /readyz
 // names the ensemble key among the open breakers.
 func TestEnsembleTrainingBreakerOpens(t *testing.T) {
@@ -409,13 +457,13 @@ func TestEnsembleTrainingBreakerOpens(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	req := ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("good", 1)}
+	req := ensembleRequest(ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("good", 1)})
 	for i := 0; i < threshold; i++ {
-		if _, err := client.ClassifyEnsemble(ctx, req); err == nil {
+		if _, err := client.Classify(ctx, req); err == nil {
 			t.Fatalf("attempt %d over a failing trainer succeeded", i)
 		}
 	}
-	_, err := client.ClassifyEnsemble(ctx, req)
+	_, err := client.Classify(ctx, req)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.RetryAfter <= 0 {
 		t.Fatalf("after %d failures: %v, want 503 with Retry-After", threshold, err)
@@ -427,15 +475,14 @@ func TestEnsembleTrainingBreakerOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
-	if rr.Ready || len(rr.OpenBreakers) != 1 || rr.OpenBreakers[0] != key {
-		t.Fatalf("readyz = %+v, want not ready with open breaker %s", rr, key)
+	if rr.Ready || len(rr.OpenBreakers) != 1 || rr.OpenBreakers[0] != defaultEnsembleKey {
+		t.Fatalf("readyz = %+v, want not ready with open breaker %s", rr, defaultEnsembleKey)
 	}
 }
 
 // TestColdConcurrentClassifiesTrainOnce fires concurrent cold
-// ?ensemble=1 and plain classifies at one registry. Plain requests
-// resolve the default train: key directly; the ensemble trainer
+// ensemble-key and default-key classifies at one registry. Default-key
+// requests resolve the default train: key directly; the ensemble trainer
 // resolves the same key through a nested Get for its base. Both
 // singleflights must hold: the base trains once, the ensemble once,
 // around the registry's own base.
@@ -466,7 +513,7 @@ func TestColdConcurrentClassifiesTrainOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				resp, err := client.ClassifyEnsemble(ctx, ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", i)})
+				resp, err := client.Classify(ctx, ensembleRequest(ClassifyRequest{Events: tinyWideAttrs, Vector: tinyWideVector("tlb-thrash", i)}))
 				if err != nil || resp.Class != "tlb-thrash" {
 					t.Errorf("ensemble classify %d = (%+v, %v), want tlb-thrash", i, resp, err)
 				}
@@ -485,7 +532,7 @@ func TestColdConcurrentClassifiesTrainOnce(t *testing.T) {
 	if n := ensTrains.Load(); n != 1 {
 		t.Errorf("ensemble trained %d times, want 1", n)
 	}
-	c, _, err := s.reg.Lookup(ctx, EnsembleSpec{Quick: true, Seed: 1}.Key())
+	c, _, err := s.reg.Lookup(ctx, defaultEnsembleKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +551,10 @@ func TestDetectorsListIncludesEnsembles(t *testing.T) {
 		RegistryDir:   dir,
 		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) { return ens, nil },
 	})
-	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
-	if _, err := client.ClassifyEnsemble(context.Background(), ClassifyRequest{
+	key := defaultEnsembleKey
+	if _, err := client.Classify(context.Background(), ensembleRequest(ClassifyRequest{
 		Events: tinyWideAttrs, Vector: tinyWideVector("good", 1),
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := client.Detectors(context.Background())

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNormalizeBaseURL pins the normalization table: trailing slashes
@@ -54,24 +53,20 @@ func TestNormalizeBaseURL(t *testing.T) {
 }
 
 // TestClientBadBaseURLFailsFastWithoutRetries pins that a misconfigured
-// client reports the typed error on the first call and the retry loop
-// does not spin on it — the config cannot heal between attempts.
+// client reports the typed error on the first call of every transport
+// and the retry loop does not spin on it — the config cannot heal
+// between attempts.
 func TestClientBadBaseURLFailsFastWithoutRetries(t *testing.T) {
-	sleeps := 0
-	c := &Client{
-		BaseURL: "127.0.0.1:8723",
-		Retry: RetryPolicy{
-			Max:   5,
-			Sleep: func(context.Context, time.Duration) error { sleeps++; return nil },
-		},
-	}
-	_, err := c.Classify(context.Background(), vectorRequest(2))
-	var buErr *BaseURLError
-	if !errors.As(err, &buErr) {
-		t.Fatalf("classify error = %v, want a *BaseURLError", err)
-	}
-	if sleeps != 0 {
-		t.Errorf("retry loop slept %d times on a config error", sleeps)
+	for _, tr := range clientTransports {
+		c, delays := retryClient("127.0.0.1:8723", 5, 1)
+		err := tr.call(context.Background(), c)
+		var buErr *BaseURLError
+		if !errors.As(err, &buErr) {
+			t.Fatalf("%s error = %v, want a *BaseURLError", tr.name, err)
+		}
+		if len(*delays) != 0 {
+			t.Errorf("%s: retry loop slept %v on a config error", tr.name, *delays)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"fsml/internal/ensemble"
 	"fsml/internal/exps"
 	"fsml/internal/fsatomic"
-	"fsml/internal/pmu"
 	"fsml/internal/resilience"
 )
 
@@ -41,7 +40,7 @@ import (
 type Classifier interface {
 	// ClassifyRobust returns the verdict; only ensembles rank
 	// pathologies.
-	ClassifyRobust(s pmu.Sample) (core.RobustResult, error)
+	core.Classifier
 	// Encode serializes the model for the registry dir.
 	Encode() ([]byte, error)
 	// Features lists the events an unnamed vector is read as, in order.

@@ -313,21 +313,6 @@ func TestClientRetriesShedsDeterministically(t *testing.T) {
 	}
 }
 
-// TestClientHonorsRetryAfter: the server's hint wins when it exceeds
-// the backoff delay.
-func TestClientHonorsRetryAfter(t *testing.T) {
-	handler, _ := shedNTimes(1, http.StatusTooManyRequests, "3")
-	hs := httptest.NewServer(handler)
-	defer hs.Close()
-	c, delays := retryClient(hs.URL, 2, 1)
-	if _, err := c.Classify(context.Background(), ClassifyRequest{Vector: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(*delays) != 1 || (*delays)[0] < 3*time.Second {
-		t.Fatalf("delays = %v, want one wait >= the 3s Retry-After hint", *delays)
-	}
-}
-
 // TestParseRetryAfterForms pins both RFC 9110 §10.2.3 forms of the
 // header: delay-seconds and HTTP-date (all three date layouts
 // http.ParseTime accepts). This server only ever emits delay-seconds,
@@ -356,102 +341,184 @@ func TestParseRetryAfterForms(t *testing.T) {
 	}
 }
 
-// TestClientHonorsDateRetryAfter: a date-form hint must stretch the
-// wait exactly like the delay-seconds form does.
-func TestClientHonorsDateRetryAfter(t *testing.T) {
-	hint := time.Now().Add(5 * time.Second).UTC().Format(http.TimeFormat)
-	handler, _ := shedNTimes(1, http.StatusTooManyRequests, hint)
-	hs := httptest.NewServer(handler)
-	defer hs.Close()
-	c, delays := retryClient(hs.URL, 2, 1)
-	if _, err := c.Classify(context.Background(), ClassifyRequest{Vector: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	// The exact wait is hint minus the parse-time clock read; with the
-	// header truncated to whole seconds it still lands well above the
-	// seeded backoff's sub-second delays.
-	if len(*delays) != 1 || (*delays)[0] < 3*time.Second {
-		t.Fatalf("delays = %v, want one wait >= 3s from the date-form hint", *delays)
-	}
+// clientTransport is one client verb the retry matrix runs over: its
+// HTTP method, the call, and how a stub server answers it — a success
+// body, and a failure rendered the way the real server renders it on
+// that endpoint.
+type clientTransport struct {
+	name   string
+	method string
+	call   func(ctx context.Context, c *Client) error
+	ok     func(w http.ResponseWriter)
+	fail   func(w http.ResponseWriter, status int)
 }
 
-// TestClientRetrySafety pins the retry-only-when-safe matrix: 5xx
-// non-shed POSTs and transport-errored POSTs are NOT retried (the
-// request may have executed), while GETs are.
+// failJSON renders a failure as the JSON handlers and the admission
+// middleware do.
+func failJSON(w http.ResponseWriter, status int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "stub rejection"})
+}
+
+// clientTransports lists every verb behind the client's one retry
+// loop, one per transport shape: a JSON body, a raw perf upload, a
+// binary frame, and the two GETs (a JSON listing and the SSE dial).
+var clientTransports = []clientTransport{
+	{
+		name: "Classify", method: http.MethodPost,
+		call: func(ctx context.Context, c *Client) error {
+			_, err := c.Classify(ctx, ClassifyRequest{Vector: []float64{1}})
+			return err
+		},
+		ok:   func(w http.ResponseWriter) { _, _ = w.Write([]byte(okClassifyBody)) },
+		fail: failJSON,
+	},
+	{
+		name: "ClassifyPerf", method: http.MethodPost,
+		call: func(ctx context.Context, c *Client) error {
+			_, err := c.ClassifyPerf(ctx, "", []byte("1000 instructions\n"))
+			return err
+		},
+		ok:   func(w http.ResponseWriter) { _, _ = w.Write([]byte(okClassifyBody)) },
+		fail: failJSON,
+	},
+	{
+		name: "ClassifyBinary", method: http.MethodPost,
+		call: func(ctx context.Context, c *Client) error {
+			_, err := c.ClassifyBinary(ctx, &BinClassifyRequest{Width: 1, Vecs: []float64{1}})
+			return err
+		},
+		ok: func(w http.ResponseWriter) {
+			out, _ := AppendBinResponse(nil, &BinClassifyResponse{Detector: "stub", Verdicts: []BinVerdict{{Class: "good", Confidence: 1}}})
+			w.Header().Set("Content-Type", contentTypeBin)
+			_, _ = w.Write(out)
+		},
+		// The frame handler renders its errors as binary error frames.
+		fail: func(w http.ResponseWriter, status int) {
+			w.Header().Set("Content-Type", contentTypeBin)
+			w.WriteHeader(status)
+			_, _ = w.Write(AppendBinError(nil, status, "stub rejection"))
+		},
+	},
+	{
+		name: "Detectors", method: http.MethodGet,
+		call: func(ctx context.Context, c *Client) error {
+			_, err := c.Detectors(ctx)
+			return err
+		},
+		ok:   func(w http.ResponseWriter) { _, _ = w.Write([]byte(`{"detectors":[]}`)) },
+		fail: failJSON,
+	},
+	{
+		name: "Watch", method: http.MethodGet,
+		call: func(ctx context.Context, c *Client) error {
+			_, err := c.Watch(ctx, WatchQuery{}, nil)
+			return err
+		},
+		ok: func(w http.ResponseWriter) {
+			w.Header().Set("Content-Type", "text/event-stream")
+			_, _ = w.Write([]byte("id: 0\nevent: done\ndata: {\"seq\":0,\"kind\":\"done\",\"summary\":{\"samples\":1}}\n\n"))
+		},
+		fail: failJSON,
+	},
+}
+
+// TestClientRetrySafety pins the retry-only-when-safe matrix over every
+// transport of the client's one retry loop. Shed (429) and shutdown or
+// breaker (503) rejections are retried for every verb: the server did
+// not process the request. Other 5xx and transport errors are retried
+// only for GETs: a POST may have executed. A Retry-After hint, in
+// either RFC 9110 form, is a floor on the wait. (The malformed base URL
+// case runs over the same transports in
+// TestClientBadBaseURLFailsFastWithoutRetries.)
 func TestClientRetrySafety(t *testing.T) {
-	t.Run("post 500 not retried", func(t *testing.T) {
-		handler, calls := shedNTimes(99, http.StatusInternalServerError, "")
-		hs := httptest.NewServer(handler)
-		defer hs.Close()
-		c, delays := retryClient(hs.URL, 5, 1)
-		_, err := c.Classify(context.Background(), ClassifyRequest{Vector: []float64{1}})
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != 500 {
-			t.Fatalf("err = %v, want APIError 500", err)
-		}
-		if calls.Load() != 1 || len(*delays) != 0 {
-			t.Fatalf("attempts=%d delays=%v, want exactly one attempt", calls.Load(), *delays)
-		}
-	})
-	t.Run("post 502 not retried", func(t *testing.T) {
-		handler, calls := shedNTimes(99, http.StatusBadGateway, "")
-		hs := httptest.NewServer(handler)
-		defer hs.Close()
-		c, _ := retryClient(hs.URL, 5, 1)
-		if _, err := c.Classify(context.Background(), ClassifyRequest{Vector: []float64{1}}); err == nil {
-			t.Fatal("want error")
-		}
-		if calls.Load() != 1 {
-			t.Fatalf("attempts = %d, want 1 (a POST may have executed behind a bad gateway)", calls.Load())
-		}
-	})
-	t.Run("get 502 retried", func(t *testing.T) {
-		handler, calls := shedNTimes(99, http.StatusBadGateway, "")
-		hs := httptest.NewServer(handler)
-		defer hs.Close()
-		c, _ := retryClient(hs.URL, 2, 1)
-		if _, err := c.Detectors(context.Background()); err == nil {
-			t.Fatal("want error")
-		}
-		if calls.Load() != 3 {
-			t.Fatalf("attempts = %d, want 3 (GET is idempotent)", calls.Load())
-		}
-	})
-	t.Run("post 503 retried", func(t *testing.T) {
-		// 503 is the shutdown/breaker rejection: guaranteed unprocessed.
-		handler, calls := shedNTimes(2, http.StatusServiceUnavailable, "")
-		hs := httptest.NewServer(handler)
-		defer hs.Close()
-		c, _ := retryClient(hs.URL, 5, 1)
-		if _, err := c.Classify(context.Background(), ClassifyRequest{Vector: []float64{1}}); err != nil {
-			t.Fatalf("retried 503 = %v, want success", err)
-		}
-		if calls.Load() != 3 {
-			t.Fatalf("attempts = %d, want 3", calls.Load())
-		}
-	})
-	t.Run("post transport error not retried", func(t *testing.T) {
-		hs := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-		hs.Close() // connection refused from here on
-		c, delays := retryClient(hs.URL, 5, 1)
-		if _, err := c.Classify(context.Background(), ClassifyRequest{Vector: []float64{1}}); err == nil {
-			t.Fatal("want transport error")
-		}
-		if len(*delays) != 0 {
-			t.Fatalf("delays = %v, want no retries for a POST transport failure", *delays)
-		}
-	})
-	t.Run("get transport error retried", func(t *testing.T) {
-		hs := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-		hs.Close()
-		c, delays := retryClient(hs.URL, 2, 1)
-		if _, err := c.Detectors(context.Background()); err == nil {
-			t.Fatal("want transport error")
-		}
-		if len(*delays) != 2 {
-			t.Fatalf("delays = %v, want 2 retries for a GET transport failure", *delays)
-		}
-	})
+	const anyMethod = ""
+	for _, tc := range []struct {
+		name   string
+		method string // the transports the case runs over
+		status int    // 0 = connection refused
+		hint   func() string
+		retry  bool
+	}{
+		{name: "post 429 retried", method: http.MethodPost, status: http.StatusTooManyRequests, retry: true},
+		{name: "post 503 retried", method: http.MethodPost, status: http.StatusServiceUnavailable, retry: true},
+		{name: "post 500 not retried", method: http.MethodPost, status: http.StatusInternalServerError},
+		{name: "post 502 not retried", method: http.MethodPost, status: http.StatusBadGateway},
+		{name: "post transport error not retried", method: http.MethodPost},
+		{name: "get 429 retried", method: http.MethodGet, status: http.StatusTooManyRequests, retry: true},
+		{name: "get 503 retried", method: http.MethodGet, status: http.StatusServiceUnavailable, retry: true},
+		{name: "get 500 not retried", method: http.MethodGet, status: http.StatusInternalServerError},
+		{name: "get 502 retried", method: http.MethodGet, status: http.StatusBadGateway, retry: true},
+		{name: "get transport error retried", method: http.MethodGet, retry: true},
+		{name: "retry-after seconds are a floor", method: anyMethod, status: http.StatusTooManyRequests, retry: true,
+			hint: func() string { return "3" }},
+		{name: "retry-after date is a floor", method: anyMethod, status: http.StatusTooManyRequests, retry: true,
+			hint: func() string { return time.Now().Add(5 * time.Second).UTC().Format(http.TimeFormat) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tr := range clientTransports {
+				if tc.method != anyMethod && tc.method != tr.method {
+					continue
+				}
+				t.Run(tr.name, func(t *testing.T) {
+					const fails = 2
+					var calls atomic.Int64
+					var hint string
+					if tc.hint != nil {
+						hint = tc.hint()
+					}
+					hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if calls.Add(1) > fails {
+							tr.ok(w)
+							return
+						}
+						if hint != "" {
+							w.Header().Set("Retry-After", hint)
+						}
+						tr.fail(w, tc.status)
+					}))
+					defer hs.Close()
+					if tc.status == 0 {
+						hs.Close() // connection refused from here on
+					}
+					c, delays := retryClient(hs.URL, 5, 1)
+					err := tr.call(context.Background(), c)
+					switch {
+					case tc.retry && tc.status != 0:
+						if err != nil || calls.Load() != fails+1 || len(*delays) != fails {
+							t.Fatalf("err=%v attempts=%d delays=%v, want success after %d retries", err, calls.Load(), *delays, fails)
+						}
+					case tc.retry:
+						if err == nil || len(*delays) != 5 {
+							t.Fatalf("err=%v delays=%v, want a transport error after 5 retries", err, *delays)
+						}
+					case tc.status != 0:
+						var apiErr *APIError
+						if !errors.As(err, &apiErr) || apiErr.Status != tc.status || apiErr.Message != "stub rejection" {
+							t.Fatalf("err = %v, want APIError %d \"stub rejection\"", err, tc.status)
+						}
+						if calls.Load() != 1 || len(*delays) != 0 {
+							t.Fatalf("attempts=%d delays=%v, want exactly one attempt", calls.Load(), *delays)
+						}
+					default:
+						if err == nil || len(*delays) != 0 {
+							t.Fatalf("err=%v delays=%v, want a transport error and no retries", err, *delays)
+						}
+					}
+					if tc.hint != nil {
+						// The seeded backoff's delays are sub-second; a date
+						// hint loses up to a second to header truncation.
+						for _, d := range *delays {
+							if d < 3*time.Second {
+								t.Fatalf("delays = %v, want every wait >= the Retry-After hint", *delays)
+							}
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestClientSleepHonorsContext bounds a retry wait by the caller's ctx.

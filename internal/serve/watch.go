@@ -25,7 +25,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"fsml/internal/core"
 	"fsml/internal/faults"
@@ -290,7 +289,16 @@ func writeSSE(w io.Writer, f http.Flusher, ev stream.Event) error {
 func (c *Client) Watch(ctx context.Context, q WatchQuery, fn func(stream.Event) error) (*stream.Summary, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	resp, err := c.dialWatch(ctx, q)
+	path := "/v1/watch"
+	if enc := q.values().Encode(); enc != "" {
+		path += "?" + enc
+	}
+	// The 2xx body stays open: it is the stream.
+	var resp *http.Response
+	err := c.do(ctx, http.MethodGet, path, "text/event-stream", nil, func(r *http.Response) error {
+		resp = r
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -350,55 +358,4 @@ func (c *Client) Watch(ctx context.Context, q WatchQuery, fn func(stream.Event) 
 		return nil, fmt.Errorf("serve: watch stream ended without a done event")
 	}
 	return summary, nil
-}
-
-// dialWatch opens the SSE response, retrying not-processed rejections
-// per the client's policy.
-func (c *Client) dialWatch(ctx context.Context, q WatchQuery) (*http.Response, error) {
-	path := "/v1/watch"
-	if enc := q.values().Encode(); enc != "" {
-		path += "?" + enc
-	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	for attempt := 0; ; attempt++ {
-		target, err := c.endpoint(path)
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Accept", "text/event-stream")
-		resp, err := hc.Do(req)
-		if err == nil && resp.StatusCode == http.StatusOK {
-			return resp, nil
-		}
-		if err == nil {
-			blob, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-			resp.Body.Close()
-			apiErr := &APIError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
-			var e ErrorResponse
-			if json.Unmarshal(blob, &e) == nil && e.Error != "" {
-				apiErr.Message = e.Error
-			} else {
-				apiErr.Message = strings.TrimSpace(string(blob))
-			}
-			err = apiErr
-		}
-		ok, hint := retryable(http.MethodGet, err)
-		if !ok || attempt >= c.Retry.Max {
-			return nil, err
-		}
-		delay := c.Retry.Backoff.Delay(attempt)
-		if hint > delay {
-			delay = hint
-		}
-		if serr := c.Retry.sleep(ctx, delay); serr != nil {
-			return nil, serr
-		}
-	}
 }

@@ -335,9 +335,10 @@ type BinErrorFrame struct {
 	Message string
 }
 
-// frameBufPool recycles encode buffers across binary requests, so the
-// steady-state hot path reuses one grown buffer per goroutine instead
-// of allocating a frame-sized slice per call.
+// frameBufPool recycles the server's response and error-frame encode
+// buffers, so the steady-state hot path reuses one grown buffer per
+// goroutine instead of allocating a frame-sized slice per call. The
+// handler's Write has copied the frame out before the buffer goes back.
 var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // getFrameBuf borrows an empty encode buffer from the pool.

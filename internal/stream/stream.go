@@ -275,13 +275,12 @@ type EngineConfig struct {
 	MinInstructions float64
 }
 
-// Classifier is the per-window verdict source. core.Detector and the
-// multi-pathology ensemble both implement it directly, so phase and
-// drift events carry whatever label space the classifier emits — the
-// engine never assumes the paper's three classes.
-type Classifier interface {
-	ClassifyRobust(s pmu.Sample) (core.RobustResult, error)
-}
+// Classifier is the per-window verdict source, core's one
+// classification seam. core.Detector and the multi-pathology ensemble
+// both implement it, so phase and drift events carry whatever label
+// space the classifier emits — the engine never assumes the paper's
+// three classes.
+type Classifier = core.Classifier
 
 // Engine is the pure streaming state machine: feed it one slice sample
 // at a time with Push, collect the events each sample produced, and
@@ -357,18 +356,10 @@ type ringEntry struct {
 	instrFlag pmu.CountFlag
 }
 
-// NewEngine builds an engine for the detector. The spec is validated up
-// front so a session can fail fast before any simulation work.
-func NewEngine(det *core.Detector, cfg EngineConfig) (*Engine, error) {
-	if det == nil {
-		return nil, fmt.Errorf("stream: nil detector")
-	}
-	return NewEngineWith(det, cfg)
-}
-
-// NewEngineWith builds an engine around any Classifier — the seam the
-// ensemble (and tests) plug into.
-func NewEngineWith(det Classifier, cfg EngineConfig) (*Engine, error) {
+// NewEngine builds an engine around det — the 3-class detector, the
+// ensemble, or a test double. The spec is validated up front so a
+// session can fail fast before any simulation work.
+func NewEngine(det Classifier, cfg EngineConfig) (*Engine, error) {
 	if det == nil {
 		return nil, fmt.Errorf("stream: nil classifier")
 	}
