@@ -21,10 +21,11 @@ go test -race -count=1 -run TestChaos ./internal/serve ./internal/fleet
 # with the registry and the lifecycle mirror: repeat the concurrent
 # classify burst, the classify-storm-across-promotion test, the cold
 # concurrent detector + ensemble classifies (the ensemble trainer's
-# nested registry Get) and the client's binary frames answered before
+# nested registry Get), the client's binary frames answered before
 # they are sent (a frame net/http is still writing must never be
-# reused) under the race detector.
-go test -race -count=10 -run 'TestServeConcurrentMatchesSequential|TestChaosDriftRetrainPromoteRollback|TestColdConcurrentClassifiesTrainOnce|TestClassifyBinaryFrameNotReusedInFlight' ./internal/serve
+# reused) and faulted trace replays beside a watch session on the
+# server's one shared collector under the race detector.
+go test -race -count=10 -run 'TestServeConcurrentMatchesSequential|TestChaosDriftRetrainPromoteRollback|TestColdConcurrentClassifiesTrainOnce|TestClassifyBinaryFrameNotReusedInFlight|TestFaultedServerConcurrentReplaysAndWatch' ./internal/serve
 go test -run '^$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
 # The byte-level trace parser must accept the same traces and fail with
 # the same errors as the strings-based reference parser.

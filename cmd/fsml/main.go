@@ -370,7 +370,7 @@ func classifyEnsemblePrograms(names []string, model string, quick bool, jobs int
 		for _, p := range res.Pathologies {
 			fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
 		}
-		printPerfCaveats(res.Degraded, res.MissingEvents, nil)
+		printPerfCaveats(res.Degraded, degradedEvents(res), nil)
 	}
 	return nil
 }
@@ -405,8 +405,9 @@ func classifyPerf(path, server string, retries int, model string, quick bool, jo
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
-		rr := fsml.RobustResult{Class: resp.Class, Confidence: resp.Confidence, Degraded: resp.Degraded, Pathologies: resp.Pathologies}
-		printPerfVerdict(label, 8, rr, fmt.Sprintf("%s format, detector %s", resp.PerfFormat, resp.Detector), resp.Suspects, resp.UnmappedEvents)
+		rr := fsml.RobustResult{Class: resp.Class, Confidence: resp.Confidence, Degraded: resp.Degraded,
+			Suspects: resp.Suspects, MissingEvents: resp.MissingEvents, Pathologies: resp.Pathologies}
+		printPerfVerdict(label, ens, rr, fmt.Sprintf("%s format, detector %s", resp.PerfFormat, resp.Detector), resp.Suspects, resp.UnmappedEvents)
 		return nil
 	}
 	rep, err := fsml.ParsePerf(bytes.NewReader(data))
@@ -414,10 +415,8 @@ func classifyPerf(path, server string, retries int, model string, quick bool, jo
 		return fmt.Errorf("%s: %w", label, err)
 	}
 	var det fsml.Classifier
-	width := 8
 	if ens {
 		det, err = loadEnsemble(model, quick, jobs)
-		width = 12 // the ensemble's labels run to "bw-saturated"
 	} else {
 		det, err = loadOrTrain(model, quick, jobs)
 	}
@@ -428,23 +427,32 @@ func classifyPerf(path, server string, retries int, model string, quick bool, jo
 	if err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
-	missing := mapping.Missing
-	if ens {
-		missing = rr.MissingEvents
-	}
-	printPerfVerdict(label, width, rr, fmt.Sprintf("%s format, %d events", rep.Format, len(rep.Events)), missing, mapping.Unmapped)
+	printPerfVerdict(label, ens, rr, fmt.Sprintf("%s format, %d events", rep.Format, len(rep.Events)), mapping.Missing, mapping.Unmapped)
 	return nil
 }
 
-// printPerfVerdict renders one perf verdict: the class in a column
-// width wide, the confidence and where the verdict came from, the
-// ranked pathologies (ensemble verdicts only), then the caveats.
-func printPerfVerdict(label string, width int, rr fsml.RobustResult, source string, missing, unmapped []string) {
+// printPerfVerdict renders one perf verdict: the class, the confidence
+// and where the verdict came from, the ranked pathologies (ensemble
+// verdicts only), then the caveats. An ensemble verdict gets a wider
+// class column — its labels run to "bw-saturated" — and names its own
+// degraded events, local or served alike.
+func printPerfVerdict(label string, ens bool, rr fsml.RobustResult, source string, missing, unmapped []string) {
+	width := 8
+	if ens {
+		width, missing = 12, degradedEvents(rr)
+	}
 	fmt.Printf("%-24s %-*s (confidence %.3f, %s)\n", label, width, rr.Class, rr.Confidence, source)
 	for _, p := range rr.Pathologies {
 		fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
 	}
 	printPerfCaveats(rr.Degraded, missing, unmapped)
+}
+
+// degradedEvents names the events behind a degraded ensemble verdict:
+// the flagged reads in programming order, then the attributes the
+// sample does not carry at all.
+func degradedEvents(rr fsml.RobustResult) []string {
+	return append(append([]string(nil), rr.Suspects...), rr.MissingEvents...)
 }
 
 // printPerfCaveats renders the partial-coverage warnings of a perf
@@ -940,10 +948,8 @@ func cmdWatch(args []string) error {
 	if *drift {
 		env = fsml.StreamEnvelopeFromTree(det.Tree, 0)
 	}
-	col := fsml.NewCollector()
-	col.Parallelism = *jobs
 	var printErr error
-	mon, err := fsml.NewStreamMonitor(col, det, fsml.StreamMonitorConfig{
+	mon, err := fsml.NewStreamMonitor(nil, det, fsml.StreamMonitorConfig{
 		Spec:        spec,
 		SliceRounds: *sliceRounds,
 		Seed:        *seed,

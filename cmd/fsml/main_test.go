@@ -2,10 +2,18 @@ package main
 
 import (
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"fsml/internal/core"
+	"fsml/internal/dataset"
+	"fsml/internal/ensemble"
+	"fsml/internal/pmu"
+	"fsml/internal/serve"
 )
 
 // modelPath lazily trains a quick model once and caches it on disk for
@@ -244,6 +252,83 @@ func TestCmdClassifyPerfOutput(t *testing.T) {
 		})
 		if got != tc.want {
 			t.Errorf("%s:\ngot  %q\nwant %q", tc.fixture, got, tc.want)
+		}
+	}
+}
+
+// TestCmdClassifyPerfEnsembleDegradedLine pins that a degraded ensemble
+// perf verdict names the same events locally and through -server: the
+// flagged reads (Table-2 events the capture lacks) and the attributes
+// the sample does not carry at all (the remote-DRAM counter).
+func TestCmdClassifyPerfEnsembleDegradedLine(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "quick_detector.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := core.DecodeDetector(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tiny wide-space ensemble whose committees consult one missing
+	// Table-2 event (bad-fs) and the absent remote-DRAM attribute.
+	attrs := pmu.FeatureAttrs(pmu.EnsembleEvents())
+	spike := map[string]string{"bad-fs": "SNOOP_RESPONSE.HITM", "numa-remote": "MEM_UNCORE_RETIRED.REMOTE_DRAM"}
+	d := dataset.New(attrs)
+	for _, label := range []string{"good", "bad-fs", "numa-remote"} {
+		for i := 0; i < 12; i++ {
+			fv := make([]float64, len(attrs))
+			for j, a := range attrs {
+				fv[j] = 0.01 + float64((i+j)%5)*0.001
+				if a == spike[label] {
+					fv[j] = 2 + float64(i)*0.01
+				}
+			}
+			if err := d.Add(dataset.Instance{Features: fv, Label: label}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ens, err := ensemble.Train(d, base, ensemble.Spec{Members: 3, Sample: 0.8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ens.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(t.TempDir(), "ensemble.json")
+	if err := os.WriteFile(modelPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{
+		Train:         func(serve.TrainSpec) (*core.Detector, error) { return base, nil },
+		TrainEnsemble: func(serve.EnsembleSpec) (*ensemble.Detector, error) { return ens, nil },
+	})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	capture := "../../internal/perfingest/testdata/stat_missing.txt"
+	degradedLine := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "  degraded: ") {
+				return line
+			}
+		}
+		t.Fatalf("no degraded line in:\n%s", out)
+		return ""
+	}
+	local := degradedLine(captureStdout(t, func() error {
+		return cmdClassify([]string{"-perf", capture, "-ensemble", "-model", modelPath})
+	}))
+	remote := degradedLine(captureStdout(t, func() error {
+		return cmdClassify([]string{"-perf", capture, "-ensemble", "-server", hs.URL, "-retries", "0"})
+	}))
+	if local != remote {
+		t.Errorf("local and -server degraded lines differ:\nlocal  %q\nserver %q", local, remote)
+	}
+	for _, ev := range []string{"SNOOP_RESPONSE.HITM", "MEM_UNCORE_RETIRED.REMOTE_DRAM"} {
+		if !strings.Contains(local, ev) {
+			t.Errorf("degraded line %q does not name %s", local, ev)
 		}
 	}
 }

@@ -41,7 +41,8 @@ type Observation struct {
 // Collector runs workloads on freshly built machines and measures them
 // with a PMU. A Collector is configured once and reused across runs;
 // each run gets its own machine so no cache state leaks between
-// measurements.
+// measurements. Measurements only read the configuration, so one
+// Collector may measure on many goroutines at once.
 type Collector struct {
 	// Machine is the machine template (core count, cache config, clock).
 	Machine machine.Config
@@ -60,19 +61,11 @@ type Collector struct {
 	// total) case counts. Calls are serialized by the batch engine.
 	OnProgress func(done, total int)
 	// Faults, when non-nil and enabled, injects deterministic counter
-	// faults into every measurement (see internal/faults). Nil — the
-	// default — measures with perfectly honest counters, and every
-	// fault-aware code path below collapses to the historical behavior.
+	// faults into every measurement (see internal/faults) and sets the
+	// fault posture (see tolerant). Nil — the default — measures with
+	// perfectly honest counters, and every fault-aware code path below
+	// collapses to the historical behavior.
 	Faults *faults.Injector
-	// Retries is how many re-seeded measurement retries a transient
-	// failure (an unusable sample) gets before the case is declared
-	// failed. Zero means measure exactly once.
-	Retries int
-	// Tolerate makes batch operations record failed cases and keep
-	// sweeping instead of aborting on the first *PipelineError. It is
-	// the deployment posture for fault-injection runs; leave it false to
-	// keep failures loud.
-	Tolerate bool
 }
 
 // schedOptions bundles the collector's batch-engine configuration.
@@ -90,15 +83,16 @@ func NewCollector() *Collector {
 	}
 }
 
-// Measure runs the kernels on a fresh machine built from the collector's
-// template (with the given seed) and returns the observation.
-// Monitoring overhead is modeled as enabled: that is the paper's
-// deployment scenario, and its cost is what the <2% claim is about.
-func (c *Collector) Measure(desc string, seed uint64, kernels []machine.Kernel) Observation {
+// probe builds the instrument of one run: a fresh machine from the
+// collector's template and a PMU programmed with its events, both seeded
+// with the run's seed, with injected faults scoped to desc. Monitoring
+// overhead is modeled as enabled: that is the paper's deployment
+// scenario, and its cost is what the <2% claim is about. Every
+// measurement — whole-run, sliced and streamed — starts here.
+func (c *Collector) probe(desc string, seed uint64) (*machine.Machine, *pmu.PMU) {
 	mcfg := c.Machine
 	mcfg.Seed = seed
 	mcfg.Monitor = true
-	m := machine.New(mcfg)
 
 	pcfg := c.PMU
 	pcfg.Seed = seed
@@ -108,8 +102,13 @@ func (c *Collector) Measure(desc string, seed uint64, kernels []machine.Kernel) 
 	if evs == nil {
 		evs = pmu.Table2()
 	}
-	p := pmu.New(pcfg, evs)
+	return machine.New(mcfg), pmu.New(pcfg, evs)
+}
 
+// Measure runs the kernels on a fresh machine built from the collector's
+// template (with the given seed) and returns the observation.
+func (c *Collector) Measure(desc string, seed uint64, kernels []machine.Kernel) Observation {
+	m, p := c.probe(desc, seed)
 	res := m.Run(kernels)
 	return Observation{
 		Desc:    desc,
@@ -122,12 +121,12 @@ func (c *Collector) Measure(desc string, seed uint64, kernels []machine.Kernel) 
 // MeasureMiniProgram builds and measures one mini-program spec, labeling
 // the observation with the spec's mode. A transient measurement failure
 // (an unusable sample, possible only under fault injection) is retried
-// up to c.Retries times with a re-derived seed; kernels are rebuilt per
+// with a re-derived seed (see MeasureRetry); kernels are rebuilt per
 // attempt because they are stateful.
 func (c *Collector) MeasureMiniProgram(spec miniprog.Spec) (Observation, error) {
 	desc := fmt.Sprintf("%s/size=%d/threads=%d/%s/seed=%d",
 		spec.Program, spec.Size, spec.Threads, spec.Mode, spec.Seed)
-	obs, _, err := c.measureRetry(desc, spec.Seed^0x5151, func() ([]machine.Kernel, error) {
+	obs, _, err := c.MeasureRetry(desc, spec.Seed^0x5151, func() ([]machine.Kernel, error) {
 		return miniprog.Build(spec)
 	})
 	obs.Label = spec.Mode.String()

@@ -149,8 +149,8 @@ type CaseResult struct {
 	Attempts int
 	// Failed marks a case that could not be measured or classified even
 	// after retries; Err holds the *PipelineError. Failed cases appear
-	// only in tolerant sweeps — without Collector.Tolerate the batch
-	// aborts with the error instead.
+	// only on a fault-injecting collector — an honest one aborts the
+	// batch with the error instead.
 	Failed bool
 	Err    error
 }
@@ -171,59 +171,57 @@ type BatchCase struct {
 	Kernels []machine.Kernel
 }
 
-// BatchClassify measures and classifies n independent cases across the
+// ClassifyCase measures and classifies one case: MeasureRetry on the
+// case build returns (build runs again per retry — kernels are
+// stateful), then det.ClassifyRobust, so flagged counter reads degrade
+// to a partial-subset prediction with a recorded confidence downgrade.
+// On a fault-injecting collector a case that still fails becomes a
+// Failed row; an honest collector returns the *PipelineError instead.
+// det is used read-only, so distinct cases may be classified
+// concurrently.
+func (c *Collector) ClassifyCase(det Classifier, build func() BatchCase) (CaseResult, error) {
+	bc := build()
+	md := bc.MeasureDesc
+	if md == "" {
+		md = bc.Desc
+	}
+	first := true // the first attempt runs bc's kernels; a retry needs fresh ones
+	obs, attempts, err := c.MeasureRetry(md, bc.Seed, func() ([]machine.Kernel, error) {
+		if first {
+			first = false
+			return bc.Kernels, nil
+		}
+		return build().Kernels, nil
+	})
+	var rr RobustResult
+	if err == nil {
+		if rr, err = det.ClassifyRobust(obs.Sample); err != nil {
+			err = &PipelineError{Stage: StageClassify, Case: bc.Desc, Attempts: attempts, Err: err}
+		}
+	}
+	if err != nil {
+		if !c.tolerant() {
+			return CaseResult{}, err
+		}
+		return CaseResult{Desc: bc.Desc, Seconds: obs.Seconds, Attempts: attempts, Failed: true, Err: err}, nil
+	}
+	return CaseResult{
+		Desc: bc.Desc, Class: rr.Class, Seconds: obs.Seconds,
+		Confidence: rr.Confidence, Degraded: rr.Degraded,
+		Suspects: rr.Suspects, Attempts: attempts,
+	}, nil
+}
+
+// BatchClassify runs ClassifyCase over n independent cases across the
 // collector's Parallelism workers and returns the results in submission
 // order. build(i) is invoked inside the worker, so kernel construction
 // (which lays out the case's address space) parallelizes along with the
 // simulation. Classification uses det read-only — the 3-class detector
 // or the multi-pathology ensemble alike; results are bit-identical at
 // every parallelism level.
-//
-// The batch is fault-hardened: a transiently unusable measurement is
-// retried up to c.Retries times with a re-derived seed (build(i) runs
-// again per attempt — kernels are stateful), flagged counter reads
-// degrade to a partial-subset prediction with a recorded confidence
-// downgrade, and with c.Tolerate a case that still fails becomes a
-// Failed result row instead of aborting the sweep.
 func (c *Collector) BatchClassify(ctx context.Context, det Classifier, n int, build func(i int) BatchCase) ([]CaseResult, error) {
 	return sched.Map(ctx, n, c.schedOptions(), func(_ context.Context, i int) (CaseResult, error) {
-		attempts := c.Retries + 1
-		var bc BatchCase
-		var obs Observation
-		measured := false
-		for a := 0; a < attempts; a++ {
-			bc = build(i)
-			md := bc.MeasureDesc
-			if md == "" {
-				md = bc.Desc
-			}
-			obs = c.Measure(md, attemptSeed(bc.Seed, a), bc.Kernels)
-			if usable(obs) {
-				measured = true
-				attempts = a + 1
-				break
-			}
-		}
-		if !measured {
-			perr := &PipelineError{Stage: StageMeasure, Case: bc.Desc, Attempts: attempts, Err: ErrUnusableSample}
-			if c.Tolerate {
-				return CaseResult{Desc: bc.Desc, Seconds: obs.Seconds, Attempts: attempts, Failed: true, Err: perr}, nil
-			}
-			return CaseResult{}, perr
-		}
-		rr, err := det.ClassifyRobust(obs.Sample)
-		if err != nil {
-			perr := &PipelineError{Stage: StageClassify, Case: bc.Desc, Attempts: attempts, Err: err}
-			if c.Tolerate {
-				return CaseResult{Desc: bc.Desc, Seconds: obs.Seconds, Attempts: attempts, Failed: true, Err: perr}, nil
-			}
-			return CaseResult{}, perr
-		}
-		return CaseResult{
-			Desc: bc.Desc, Class: rr.Class, Seconds: obs.Seconds,
-			Confidence: rr.Confidence, Degraded: rr.Degraded,
-			Suspects: rr.Suspects, Attempts: attempts,
-		}, nil
+		return c.ClassifyCase(det, func() BatchCase { return build(i) })
 	})
 }
 

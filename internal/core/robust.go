@@ -78,13 +78,29 @@ func attemptSeed(seed uint64, a int) uint64 {
 	return xrand.DeriveSeed(seed, uint64(a))
 }
 
-// measureRetry measures a case with up to c.Retries re-seeded retries.
-// Kernels are stateful, so every attempt rebuilds them via build. On
-// success it returns the observation and the number of attempts spent;
-// when every attempt produced an unusable sample it returns the last
-// observation alongside a *PipelineError.
-func (c *Collector) measureRetry(desc string, seed uint64, build func() ([]machine.Kernel, error)) (Observation, int, error) {
-	attempts := c.Retries + 1
+// faultRetries is how many re-seeded retries an unusable measurement
+// gets on a fault-injecting collector.
+const faultRetries = 2
+
+// tolerant reports the collector's fault posture, which follows its
+// injector: counters that lie on purpose get re-seeded measurement
+// retries, and batch operations record the cases that still fail and
+// keep sweeping. An honest collector measures once and keeps every
+// failure loud.
+func (c *Collector) tolerant() bool { return c.Faults.Enabled() }
+
+// MeasureRetry measures a case, re-measuring an unusable sample with a
+// re-derived seed up to faultRetries times when the collector injects
+// faults (an honest collector measures once). Kernels are stateful, so
+// every attempt rebuilds them via build. On success it returns the
+// observation and the number of attempts spent; when every attempt
+// produced an unusable sample it returns the last observation alongside
+// a measure-stage *PipelineError wrapping ErrUnusableSample.
+func (c *Collector) MeasureRetry(desc string, seed uint64, build func() ([]machine.Kernel, error)) (Observation, int, error) {
+	attempts := 1
+	if c.tolerant() {
+		attempts += faultRetries
+	}
 	var obs Observation
 	for a := 0; a < attempts; a++ {
 		kernels, err := build()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fsml/internal/faults"
+	"fsml/internal/machine"
 	"fsml/internal/miniprog"
 	"fsml/internal/ml"
 	"fsml/internal/pmu"
@@ -50,31 +51,39 @@ func stuckInstrSpec(t *testing.T, cfg faults.Config) miniprog.Spec {
 	return miniprog.Spec{}
 }
 
-// TestRetryWithReseedRecovers pins the recovery story: a case whose
-// first measurement draws a stuck instruction counter fails without
-// retries, and succeeds with one reseeded retry.
+// TestRetryWithReseedRecovers pins the recovery story: on a
+// fault-injecting collector a case whose first measurement draws a stuck
+// instruction counter recovers on its reseeded retry, and a case whose
+// every attempt is stuck fails after three attempts with a measure-stage
+// error naming the unusable sample.
 func TestRetryWithReseedRecovers(t *testing.T) {
 	cfg := faults.Config{Rate: 0.4, Seed: 21, Kinds: []faults.Kind{faults.StuckZero}}
 	spec := stuckInstrSpec(t, cfg)
 
 	c := NewCollector()
 	c.Faults = faults.New(cfg)
-	if _, err := c.MeasureMiniProgram(spec); err == nil {
-		t.Fatal("stuck instruction counter measured without error and without retries")
-	} else {
-		var pe *PipelineError
-		if !errors.As(err, &pe) || pe.Stage != StageMeasure || !errors.Is(err, ErrUnusableSample) {
-			t.Fatalf("retry-less failure = %v, want a measure-stage unusable-sample PipelineError", err)
-		}
-	}
-
-	c.Retries = 1
 	obs, err := c.MeasureMiniProgram(spec)
 	if err != nil {
 		t.Fatalf("reseeded retry did not recover: %v", err)
 	}
 	if !usable(obs) {
 		t.Fatal("recovered observation is unusable")
+	}
+	desc := fmt.Sprintf("%s/size=%d/threads=%d/%s/seed=%d",
+		spec.Program, spec.Size, spec.Threads, spec.Mode, spec.Seed)
+	build := func() ([]machine.Kernel, error) { return miniprog.Build(spec) }
+	if _, attempts, err := c.MeasureRetry(desc, spec.Seed^0x5151, build); err != nil || attempts != 2 {
+		t.Fatalf("MeasureRetry = (%d attempts, %v), want recovery on attempt 2", attempts, err)
+	}
+
+	c.Faults = faults.New(faults.Config{Rate: 1, Seed: 21, Kinds: []faults.Kind{faults.StuckZero}})
+	_, attempts, err := c.MeasureRetry(desc, spec.Seed^0x5151, build)
+	var pe *PipelineError
+	if !errors.As(err, &pe) || pe.Stage != StageMeasure || !errors.Is(err, ErrUnusableSample) {
+		t.Fatalf("total-loss failure = %v, want a measure-stage unusable-sample PipelineError", err)
+	}
+	if attempts != 3 || pe.Attempts != 3 {
+		t.Errorf("attempts = %d (error says %d), want 3 (1 + 2 retries)", attempts, pe.Attempts)
 	}
 }
 
@@ -210,24 +219,15 @@ func batchBuilder(t *testing.T) func(i int) BatchCase {
 }
 
 // TestBatchClassifyTolerantSurvivesTotalLoss pins graceful degradation at
-// its worst: every counter stuck on every case. Intolerant batches abort
-// with a typed error; tolerant batches return one Failed row per case
-// and Majority still answers (with an empty histogram) instead of
-// panicking.
+// its worst: every counter stuck on every case. The faulted batch returns
+// one Failed row per case, each carrying a measure-stage error, and
+// Majority still answers (with an empty histogram) instead of panicking.
 func TestBatchClassifyTolerantSurvivesTotalLoss(t *testing.T) {
 	det := stumpDetector()
 	c := NewCollector()
 	c.Faults = faults.New(faults.Config{Rate: 1, Seed: 5, Kinds: []faults.Kind{faults.StuckZero}})
 	c.Parallelism = 1
 
-	_, err := c.BatchClassify(context.Background(), det, 2, batchBuilder(t))
-	var pe *PipelineError
-	if !errors.As(err, &pe) || pe.Stage != StageMeasure {
-		t.Fatalf("intolerant batch error = %v, want a measure-stage PipelineError", err)
-	}
-
-	c.Tolerate = true
-	c.Retries = 2
 	results, err := c.BatchClassify(context.Background(), det, 2, batchBuilder(t))
 	if err != nil {
 		t.Fatalf("tolerant batch aborted: %v", err)
@@ -241,6 +241,10 @@ func TestBatchClassifyTolerantSurvivesTotalLoss(t *testing.T) {
 		}
 		if !errors.Is(r.Err, ErrUnusableSample) {
 			t.Errorf("row error %v does not unwrap to ErrUnusableSample", r.Err)
+		}
+		var pe *PipelineError
+		if !errors.As(r.Err, &pe) || pe.Stage != StageMeasure {
+			t.Errorf("row error %v, want a measure-stage PipelineError", r.Err)
 		}
 	}
 	class, hist := Majority(results)
@@ -257,8 +261,6 @@ func TestBatchClassifyFaultedDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) []CaseResult {
 		c := NewCollector()
 		c.Faults = faults.New(faults.Config{Rate: 0.3, Seed: 9})
-		c.Tolerate = true
-		c.Retries = 1
 		c.Parallelism = par
 		// The stump detector's events are not the Table 2 set, so project
 		// through a PMU programmed with matching names is impossible here;
@@ -301,8 +303,8 @@ func TestMajoritySkipsFailedCases(t *testing.T) {
 }
 
 // TestCollectTolerantDropsFailedRuns pins tolerant collection: with every
-// counter stuck, an intolerant collect aborts; a tolerant one returns
-// the surviving (here: zero) observations without error.
+// counter stuck, a faulted collect returns the surviving (here: zero)
+// observations without error.
 func TestCollectTolerantDropsFailedRuns(t *testing.T) {
 	grid := Grid{
 		Sizes: []int{4000}, MatSizes: []int{32}, Threads: []int{2},
@@ -313,16 +315,6 @@ func TestCollectTolerantDropsFailedRuns(t *testing.T) {
 	c := NewCollector()
 	c.Faults = faults.New(faults.Config{Rate: 1, Seed: 4, Kinds: []faults.Kind{faults.StuckZero}})
 	c.Parallelism = 1
-	if _, err := c.Collect(progs, grid); err == nil {
-		t.Fatal("intolerant collect survived total counter loss")
-	} else {
-		var pe *PipelineError
-		if !errors.As(err, &pe) || pe.Stage != StageCollect {
-			t.Fatalf("collect error = %v, want a collect-stage PipelineError", err)
-		}
-	}
-
-	c.Tolerate = true
 	obs, err := c.Collect(progs, grid)
 	if err != nil {
 		t.Fatalf("tolerant collect aborted: %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,64 +45,81 @@ type SliceProfile struct {
 // normalized counts from a handful of instructions are noise.
 const minSliceInstructions = 2000
 
+// Interval is one step of a sliced measurement: its index, what the
+// machine executed during it and how long that took in simulated time.
+type Interval struct {
+	Index   int
+	Result  machine.RunResult
+	Seconds float64
+	m       *machine.Machine
+	p       *pmu.PMU
+}
+
+// Read samples the PMU over the interval. Every read draws measurement
+// noise, so whether an interval is read shifts the noise of later ones.
+func (iv Interval) Read() pmu.Sample { return iv.p.Read(iv.m.Hierarchy()) }
+
+// MeasureSliced is the one slice loop: it runs kernels on a machine
+// built like Measure's, advancing it rounds scheduler rounds at a time.
+// fn sees every non-empty interval in order; the counter banks are reset
+// after fn returns, so each interval is measured in isolation. The loop
+// ends when the workload finishes, when fn fails (its error is
+// returned), or when ctx is cancelled before an interval starts
+// (ctx.Err() is returned).
+func (c *Collector) MeasureSliced(ctx context.Context, desc string, seed uint64, kernels []machine.Kernel, rounds int, fn func(Interval) error) error {
+	if rounds <= 0 {
+		return fmt.Errorf("core: slice length must be positive, got %d", rounds)
+	}
+	m, p := c.probe(desc, seed)
+	exec := m.StartExecution(kernels)
+	for i := 0; ; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		res, finished := exec.Run(rounds)
+		if res.Rounds == 0 && finished {
+			return nil
+		}
+		if err := fn(Interval{Index: i, Result: res, Seconds: m.Seconds(res), m: m, p: p}); err != nil {
+			return err
+		}
+		m.Hierarchy().ResetCounters()
+		if finished {
+			return nil
+		}
+	}
+}
+
 // DetectSliced runs kernels on a machine built from the collector's
 // template, classifying every interval of sliceRounds scheduler rounds.
 func (c *Collector) DetectSliced(det *Detector, seed uint64, kernels []machine.Kernel, sliceRounds int) (*SliceProfile, error) {
-	if sliceRounds <= 0 {
-		return nil, fmt.Errorf("core: slice length must be positive, got %d", sliceRounds)
-	}
-	mcfg := c.Machine
-	mcfg.Seed = seed
-	mcfg.Monitor = true
-	m := machine.New(mcfg)
-
-	pcfg := c.PMU
-	pcfg.Seed = seed
-	pcfg.Faults = c.Faults
-	pcfg.CaseKey = fmt.Sprintf("sliced/seed=%d", seed)
-	evs := c.Events
-	if evs == nil {
-		evs = pmu.Table2()
-	}
-	p := pmu.New(pcfg, evs)
-
-	exec := m.StartExecution(kernels)
 	profile := &SliceProfile{}
-	for i := 0; ; i++ {
-		res, finished := exec.Run(sliceRounds)
-		if res.Rounds == 0 && finished {
-			break
-		}
+	var cases []CaseResult // Majority skips the unclassified slices
+	err := c.MeasureSliced(context.Background(), fmt.Sprintf("sliced/seed=%d", seed), seed, kernels, sliceRounds, func(iv Interval) error {
 		s := Slice{
-			Index:        i,
-			Rounds:       res.Rounds,
-			Instructions: res.Instructions,
-			Seconds:      m.Seconds(res),
+			Index:        iv.Index,
+			Rounds:       iv.Result.Rounds,
+			Instructions: iv.Result.Instructions,
+			Seconds:      iv.Seconds,
 		}
-		if res.Instructions >= minSliceInstructions {
-			rr, err := det.ClassifyRobust(p.Read(m.Hierarchy()))
+		if s.Instructions >= minSliceInstructions {
+			rr, err := det.ClassifyRobust(iv.Read())
 			switch {
 			case err == nil:
 				s.Class, s.Confidence, s.Degraded = rr.Class, rr.Confidence, rr.Degraded
-			case c.Tolerate:
+			case c.tolerant():
 				// The slice stays unclassified; the phase profile and the
 				// overall majority are computed over the surviving slices.
 			default:
-				return nil, &PipelineError{Stage: StageClassify, Case: fmt.Sprintf("slice %d", i), Err: err}
+				return &PipelineError{Stage: StageClassify, Case: fmt.Sprintf("slice %d", iv.Index), Err: err}
 			}
 		}
-		// Reset the banks so the next slice is measured in isolation.
-		m.Hierarchy().ResetCounters()
 		profile.Slices = append(profile.Slices, s)
-		if finished {
-			break
-		}
-	}
-	var cases []CaseResult
-	for _, s := range profile.Slices {
-		if s.Class != "" {
-			cases = append(cases, CaseResult{Class: s.Class})
-		}
+		cases = append(cases, CaseResult{Class: s.Class})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	profile.Overall, _ = Majority(cases)
 	return profile, nil

@@ -166,16 +166,17 @@ func (c *Collector) Collect(progs []miniprog.Program, grid Grid) ([]Observation,
 // batch stops feeding new cases and returns the context's error.
 //
 // Under fault injection a run can fail even after its retries (see
-// Collector.Retries). Without Tolerate that aborts the collection with a
-// *PipelineError; with Tolerate the failed runs are dropped and training
-// proceeds on the surviving observations — the grid is redundant by
-// design, so losing cells shrinks the training set instead of killing it.
+// MeasureRetry). The failed runs are then dropped and training proceeds
+// on the surviving observations — the grid is redundant by design, so
+// losing cells shrinks the training set instead of killing it. On an
+// honest collector a failed run aborts the collection with a
+// *PipelineError.
 func (c *Collector) CollectContext(ctx context.Context, progs []miniprog.Program, grid Grid) ([]Observation, error) {
 	runs := planGrid(progs, grid)
 	obs, err := sched.Map(ctx, len(runs), c.schedOptions(), func(_ context.Context, i int) (Observation, error) {
 		o, err := c.MeasureMiniProgram(runs[i].spec)
 		if err != nil {
-			if c.Tolerate {
+			if c.tolerant() {
 				return Observation{}, nil // dropped below
 			}
 			return Observation{}, &PipelineError{Stage: StageCollect, Case: runs[i].desc, Err: err}
@@ -183,7 +184,7 @@ func (c *Collector) CollectContext(ctx context.Context, progs []miniprog.Program
 		o.Desc = runs[i].desc
 		return o, nil
 	})
-	if err != nil || !c.Tolerate {
+	if err != nil || !c.tolerant() {
 		return obs, err
 	}
 	kept := obs[:0]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fsml/internal/core"
 	"fsml/internal/machine"
 	"fsml/internal/sched"
 	"fsml/internal/shadow"
@@ -57,7 +58,7 @@ func (l *Lab) BaselineComparison() ([]BaselineRow, error) {
 			cs := suite.Case{Input: w.Inputs[0].Name, Threads: 4, Opt: opt, Seed: l.Seed * 53}
 			row := BaselineRow{Name: w.Name, Suite: w.Suite, PaperClass: w.PaperClass}
 
-			cr, err := classifyWith(det, c, w, cs)
+			cr, err := c.ClassifyCase(det, func() core.BatchCase { return suiteCase(w, cs) })
 			if err != nil {
 				return row, err
 			}

@@ -112,8 +112,9 @@ func (l *Lab) faultMatrixSpecs() []miniprog.Spec {
 
 // FaultMatrix runs the accuracy-vs-fault-rate sweep. The detector is
 // trained once on clean data; each rate then classifies the same labeled
-// grid through a fresh tolerant collector whose injector draws from a
-// seed derived only from the lab seed — so the whole matrix is
+// grid through a fresh collector whose injector (which makes it retry
+// and tolerate failed cases at every positive rate) draws from a seed
+// derived only from the lab seed — so the whole matrix is
 // deterministic at every parallelism level.
 func (l *Lab) FaultMatrix() (*FaultMatrixResult, error) {
 	det, err := l.Detector()
@@ -124,56 +125,62 @@ func (l *Lab) FaultMatrix() (*FaultMatrixResult, error) {
 	faultSeed := l.Seed*31 + 7
 	res := &FaultMatrixResult{Seed: faultSeed}
 	for _, rate := range faultMatrixRates() {
-		c := core.NewCollector()
-		c.Parallelism = l.Parallelism
-		c.OnProgress = l.Progress
-		c.Tolerate = true
-		c.Retries = 2
-		if rate > 0 {
-			c.Faults = faults.New(faults.Config{Rate: rate, Seed: faultSeed})
-		}
-		results, err := c.BatchClassify(l.ctx(), det, len(specs), func(i int) core.BatchCase {
-			spec := specs[i]
-			kernels, err := miniprog.Build(spec)
-			if err != nil {
-				panic(err) // specs are enumerated from the registry; a build failure is a bug
-			}
-			return core.BatchCase{
-				Desc: fmt.Sprintf("%s/size=%d/threads=%d/%s/rate=%g",
-					spec.Program, spec.Size, spec.Threads, spec.Mode, rate),
-				Seed:    spec.Seed ^ 0x5151,
-				Kernels: kernels,
-			}
-		})
-		if err != nil {
+		row := FaultMatrixRow{Rate: rate, Cases: len(specs)}
+		if err := l.faultBatch(&row, l.newCollector(faults.Config{Rate: rate, Seed: faultSeed}), det, specs); err != nil {
 			return nil, err
 		}
-		row := FaultMatrixRow{Rate: rate, Cases: len(specs)}
-		var confSum float64
-		for i, cr := range results {
-			if cr.Attempts > 1 {
-				row.Retried++
-			}
-			if cr.Failed {
-				row.Failed++
-				continue
-			}
-			row.Answered++
-			confSum += cr.Confidence
-			if cr.Degraded {
-				row.Degraded++
-			}
-			if cr.Class == specs[i].Mode.String() {
-				row.Correct++
-			}
-		}
-		if row.Answered > 0 {
-			row.Accuracy = float64(row.Correct) / float64(row.Answered)
-			row.MeanConfidence = confSum / float64(row.Answered)
-		}
+		row.finish()
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// faultBatch classifies labeled specs at the row's fault rate through c
+// and tallies the results into row, summing the answered cases'
+// confidence into MeanConfidence until finish divides it.
+func (l *Lab) faultBatch(row *FaultMatrixRow, c *core.Collector, det core.Classifier, specs []miniprog.Spec) error {
+	results, err := c.BatchClassify(l.ctx(), det, len(specs), func(i int) core.BatchCase {
+		spec := specs[i]
+		kernels, err := miniprog.Build(spec)
+		if err != nil {
+			panic(err) // specs are enumerated from the registry; a build failure is a bug
+		}
+		return core.BatchCase{
+			Desc: fmt.Sprintf("%s/size=%d/threads=%d/%s/rate=%g",
+				spec.Program, spec.Size, spec.Threads, spec.Mode, row.Rate),
+			Seed:    spec.Seed ^ 0x5151,
+			Kernels: kernels,
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for i, cr := range results {
+		if cr.Attempts > 1 {
+			row.Retried++
+		}
+		if cr.Failed {
+			row.Failed++
+			continue
+		}
+		row.Answered++
+		row.MeanConfidence += cr.Confidence
+		if cr.Degraded {
+			row.Degraded++
+		}
+		if cr.Class == specs[i].Mode.String() {
+			row.Correct++
+		}
+	}
+	return nil
+}
+
+// finish turns the row's tallies into its accuracy and mean confidence.
+func (row *FaultMatrixRow) finish() {
+	if row.Answered > 0 {
+		row.Accuracy = float64(row.Correct) / float64(row.Answered)
+		row.MeanConfidence /= float64(row.Answered)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +240,7 @@ func (l *Lab) faultMatrixWideSpecs() (std, numa []miniprog.Spec) {
 // ensemble is trained once on clean data; each rate then classifies the
 // same labeled grid — legacy and pathology programs on the standard
 // machine, the NUMA program on the two-socket machine — through fresh
-// tolerant collectors programming the widened event set. The whole
+// collectors programming the widened event set. The whole
 // matrix is deterministic at every parallelism level.
 func (l *Lab) FaultMatrixWide() (*FaultMatrixResult, error) {
 	ens, err := l.Ensemble()
@@ -252,60 +259,15 @@ func (l *Lab) FaultMatrixWide() (*FaultMatrixResult, error) {
 	}
 	for _, rate := range faultMatrixRates() {
 		row := FaultMatrixRow{Rate: rate, Cases: len(stdSpecs) + len(numaSpecs)}
-		var confSum float64
 		for _, batch := range batches {
-			if len(batch.specs) == 0 {
-				continue
-			}
-			specs := batch.specs
-			c := core.NewCollector()
+			c := l.newCollector(faults.Config{Rate: rate, Seed: faultSeed})
 			c.Machine = batch.machine
 			c.Events = pmu.EnsembleEvents()
-			c.Parallelism = l.Parallelism
-			c.OnProgress = l.Progress
-			c.Tolerate = true
-			c.Retries = 2
-			if rate > 0 {
-				c.Faults = faults.New(faults.Config{Rate: rate, Seed: faultSeed})
-			}
-			results, err := c.BatchClassify(l.ctx(), ens, len(specs), func(i int) core.BatchCase {
-				spec := specs[i]
-				kernels, err := miniprog.Build(spec)
-				if err != nil {
-					panic(err) // specs are enumerated from the registry; a build failure is a bug
-				}
-				return core.BatchCase{
-					Desc: fmt.Sprintf("%s/size=%d/threads=%d/%s/rate=%g",
-						spec.Program, spec.Size, spec.Threads, spec.Mode, rate),
-					Seed:    spec.Seed ^ 0x5151,
-					Kernels: kernels,
-				}
-			})
-			if err != nil {
+			if err := l.faultBatch(&row, c, ens, batch.specs); err != nil {
 				return nil, err
 			}
-			for i, cr := range results {
-				if cr.Attempts > 1 {
-					row.Retried++
-				}
-				if cr.Failed {
-					row.Failed++
-					continue
-				}
-				row.Answered++
-				confSum += cr.Confidence
-				if cr.Degraded {
-					row.Degraded++
-				}
-				if cr.Class == specs[i].Mode.String() {
-					row.Correct++
-				}
-			}
 		}
-		if row.Answered > 0 {
-			row.Accuracy = float64(row.Correct) / float64(row.Answered)
-			row.MeanConfidence = confSum / float64(row.Answered)
-		}
+		row.finish()
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

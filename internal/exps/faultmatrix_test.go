@@ -5,8 +5,38 @@ import (
 	"strings"
 	"testing"
 
+	"fsml/internal/faults"
 	"fsml/internal/miniprog"
 )
+
+// TestFaultedRateSweepCompletes pins the fault posture of the shadow-
+// tool sweeps: under heavy counter faults Table 7 measures every cell
+// through the collector's retry-and-classify step, so a case whose
+// counters stay unusable renders with a blank class instead of aborting
+// the table.
+func TestFaultedRateSweepCompletes(t *testing.T) {
+	l := NewQuickLab()
+	l.Faults = faults.Config{Rate: 0.5, Seed: 3}
+	r, err := l.Table7()
+	if err != nil {
+		t.Fatalf("faulted Table 7 aborted: %v", err)
+	}
+	valid := map[string]bool{"": true, "good": true, "bad-fs": true, "bad-ma": true}
+	cells := 0
+	for _, in := range r.Inputs {
+		for _, opt := range r.Flags {
+			for _, th := range r.Threads {
+				if c := r.Cells[in][opt][th]; !valid[c.Class] {
+					t.Errorf("%s %s T=%d: class %q", in, opt, th, c.Class)
+				}
+				cells++
+			}
+		}
+	}
+	if cells != len(r.Inputs)*len(r.Flags)*len(r.Threads) || cells == 0 {
+		t.Errorf("faulted Table 7 has %d cells", cells)
+	}
+}
 
 // TestFaultMatrixShape asserts the experiment's defining shape on the
 // quick grids: the clean row classifies everything at full confidence,

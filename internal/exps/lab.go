@@ -95,16 +95,19 @@ func NewQuickLab() *Lab { return &Lab{Quick: true, Seed: 1} }
 // goroutine (the batch runners below do so before fanning out).
 func (l *Lab) Collector() *core.Collector {
 	if l.collector == nil {
-		l.collector = core.NewCollector()
-		l.collector.Parallelism = l.Parallelism
-		l.collector.OnProgress = l.Progress
-		if l.Faults.Enabled() {
-			l.collector.Faults = faults.New(l.Faults)
-			l.collector.Tolerate = true
-			l.collector.Retries = 2
-		}
+		l.collector = l.newCollector(l.Faults)
 	}
 	return l.collector
+}
+
+// newCollector returns a collector with the lab's batch settings whose
+// injector draws fc's faults (none when fc is disabled).
+func (l *Lab) newCollector(fc faults.Config) *core.Collector {
+	c := core.NewCollector()
+	c.Parallelism = l.Parallelism
+	c.OnProgress = l.Progress
+	c.Faults = faults.New(fc)
+	return c
 }
 
 // schedOptions bundles the lab's batch-engine configuration for sweeps
@@ -299,26 +302,17 @@ func (l *Lab) inputsFor(w suite.Workload) []suite.Input {
 	return w.Inputs
 }
 
-// classifyWith builds, runs and classifies one benchmark case with
-// explicit dependencies. It is safe for concurrent use with distinct
-// cases: the detector is read-only and every case builds its own address
-// space and machine.
-func classifyWith(det *core.Detector, c *core.Collector, w suite.Workload, cs suite.Case) (core.CaseResult, error) {
-	obs := c.Measure(fmt.Sprintf("%s/%s", w.Name, cs), cs.Seed^0xbead, w.Build(cs))
-	class, err := det.ClassifyObservation(obs)
-	if err != nil {
-		return core.CaseResult{}, err
+// suiteCase is the measurement of one benchmark case: its row and
+// observation descriptions, its seed, and freshly built kernels. Sweeps
+// classify it through Collector.ClassifyCase, which is safe for
+// concurrent use with distinct cases.
+func suiteCase(w suite.Workload, cs suite.Case) core.BatchCase {
+	return core.BatchCase{
+		Desc:        cs.String(),
+		MeasureDesc: fmt.Sprintf("%s/%s", w.Name, cs),
+		Seed:        cs.Seed ^ 0xbead,
+		Kernels:     w.Build(cs),
 	}
-	return core.CaseResult{Desc: cs.String(), Class: class, Seconds: obs.Seconds}, nil
-}
-
-// classifyCase builds, runs and classifies one benchmark case.
-func (l *Lab) classifyCase(w suite.Workload, cs suite.Case) (core.CaseResult, error) {
-	det, err := l.Detector()
-	if err != nil {
-		return core.CaseResult{}, err
-	}
-	return classifyWith(det, l.Collector(), w, cs)
 }
 
 // runCases classifies a pre-enumerated case list through the batch
@@ -330,12 +324,6 @@ func (l *Lab) runCases(w suite.Workload, cases []suite.Case) ([]core.CaseResult,
 	}
 	c := l.Collector()
 	return c.BatchClassify(l.ctx(), det, len(cases), func(i int) core.BatchCase {
-		cs := cases[i]
-		return core.BatchCase{
-			Desc:        cs.String(),
-			MeasureDesc: fmt.Sprintf("%s/%s", w.Name, cs),
-			Seed:        cs.Seed ^ 0xbead,
-			Kernels:     w.Build(cs),
-		}
+		return suiteCase(w, cases[i])
 	})
 }

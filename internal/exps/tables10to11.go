@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fsml/internal/core"
 	"fsml/internal/sched"
 	"fsml/internal/shadow"
 	"fsml/internal/suite"
@@ -80,7 +81,7 @@ func (l *Lab) Table10() (*Table10Result, error) {
 			if err != nil {
 				return verdict{}, err
 			}
-			cr, err := classifyWith(det, c, w, cs)
+			cr, err := c.ClassifyCase(det, func() core.BatchCase { return suiteCase(w, cs) })
 			if err != nil {
 				return verdict{}, err
 			}

@@ -253,7 +253,7 @@ func (l *Lab) rates(name string, inputs []string, flags []machine.OptLevel, thre
 			if err != nil {
 				return RateCell{}, err
 			}
-			cr, err := classifyWith(det, c, w, cs)
+			cr, err := c.ClassifyCase(det, func() core.BatchCase { return suiteCase(w, cs) })
 			if err != nil {
 				return RateCell{}, err
 			}

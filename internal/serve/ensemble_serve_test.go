@@ -295,6 +295,25 @@ func TestClassifyRouteEnsembleDefaultKey(t *testing.T) {
 	}
 }
 
+// TestEnsembleVerdictCarriesMissingEvents pins that an ensemble
+// verdict on a sample lacking some of the ensemble's attributes names
+// them on the wire, the way the local verdict does.
+func TestEnsembleVerdictCarriesMissingEvents(t *testing.T) {
+	_, client := newEnsembleTestServer(t)
+	events, vec := tinyWideAttrs[:3], tinyWideVector("bad-fs", 3)[:3]
+	resp, err := client.Classify(context.Background(), ensembleRequest(ClassifyRequest{Events: events, Vector: vec}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := tinyEnsemble(t).ClassifyRobust(vecSample(events, vec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.MissingEvents) == 0 || !reflect.DeepEqual(resp.MissingEvents, local.MissingEvents) {
+		t.Errorf("wire missing events %v, want the local verdict's %v", resp.MissingEvents, local.MissingEvents)
+	}
+}
+
 // TestClassifyRouteEnsembleRejectsForeignKey pins that the two key families
 // do not decode into each other: asking the ensemble path for a
 // single-detector key is a client error, not a silent fallback.

@@ -62,7 +62,6 @@ import (
 	"fsml/internal/stream"
 	"fsml/internal/suite"
 	"fsml/internal/trace"
-	"fsml/internal/xrand"
 )
 
 // Config shapes a Server. The zero value serves on 127.0.0.1:8723 with a
@@ -160,6 +159,10 @@ type Server struct {
 	cfg     Config
 	metrics *Metrics
 	reg     *Registry
+	// col measures trace replays and /v1/watch sessions under the
+	// configured faults. It is read-only after New, so every handler
+	// goroutine shares it.
+	col *core.Collector
 
 	limClassify *resilience.Limiter
 	limReport   *resilience.Limiter
@@ -218,6 +221,8 @@ func New(cfg Config) *Server {
 		watchStop:    make(chan struct{}),
 		handlersDone: make(chan struct{}),
 	}
+	s.col = core.NewCollector()
+	s.col.Faults = faults.New(cfg.Faults)
 	if cfg.Lifecycle != nil {
 		s.initLifecycle()
 	}
@@ -797,8 +802,8 @@ func (s *Server) classify(ctx context.Context, c Classifier, key string, req *Cl
 		}
 		resp = &ClassifyResponse{
 			Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-			Suspects: rr.Suspects, Detector: key, Seconds: m.seconds,
-			Pathologies: rr.Pathologies,
+			Suspects: rr.Suspects, MissingEvents: rr.MissingEvents,
+			Detector: key, Seconds: m.seconds, Pathologies: rr.Pathologies,
 		}
 		return nil
 	})
@@ -870,9 +875,10 @@ func vectorSample(c Classifier, events []string, vector []float64, suspects []st
 }
 
 // replay replays an uploaded trace on a fresh simulated machine and
-// measures it with the emulated PMU (under the server's fault config,
-// if any). An unusable sample — possible only under fault injection —
-// gets re-seeded retries, mirroring the offline collector.
+// measures it with the emulated PMU through the server's collector: under
+// the server's fault config an unusable sample gets the re-seeded
+// retries of the offline collector, and one that stays unusable is the
+// server's failure, not the client's.
 func (s *Server) replay(blob []byte, seed uint64) (measurement, error) {
 	tr, err := trace.Parse(bytes.NewReader(blob))
 	if err != nil {
@@ -881,23 +887,11 @@ func (s *Server) replay(blob []byte, seed uint64) (measurement, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	c := core.NewCollector()
-	retries := 0
-	if s.cfg.Faults.Enabled() {
-		c.Faults = faults.New(s.cfg.Faults)
-		retries = 2
-	}
-	desc := fmt.Sprintf("serve/trace/seed=%d", seed)
-	var obs core.Observation
-	for a := 0; ; a++ {
-		attempt := seed
-		if a > 0 {
-			attempt = xrand.DeriveSeed(seed, uint64(a))
-		}
-		obs = c.Measure(desc, attempt, tr.Kernels())
-		if obs.Sample.Instructions > 0 || a >= retries {
-			break
-		}
+	obs, _, err := s.col.MeasureRetry(fmt.Sprintf("serve/trace/seed=%d", seed), seed, func() ([]machine.Kernel, error) {
+		return tr.Kernels(), nil
+	})
+	if err != nil {
+		return measurement{}, fmt.Errorf("classify: %w", err)
 	}
 	return measurement{sample: obs.Sample, kernels: tr.Kernels(), seconds: obs.Seconds}, nil
 }

@@ -26,8 +26,6 @@ import (
 	"strconv"
 	"strings"
 
-	"fsml/internal/core"
-	"fsml/internal/faults"
 	"fsml/internal/stream"
 )
 
@@ -181,11 +179,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	col := core.NewCollector()
-	col.Parallelism = s.cfg.Parallelism
-	if s.cfg.Faults.Enabled() {
-		col.Faults = faults.New(s.cfg.Faults)
-	}
 	var env *stream.Envelope
 	if !q.NoDrift && det.Tree != nil {
 		env = stream.EnvelopeFromTree(det.Tree, 0)
@@ -203,7 +196,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// every alarm and clear even when SSE subscribers drop events.
 		mc.OnEvent = s.lc.ObserveStream
 	}
-	mon, err := stream.NewMonitor(col, det, mc)
+	mon, err := stream.NewMonitor(s.col, det, mc)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -72,6 +72,9 @@ type ClassifyResponse struct {
 	Degraded bool `json:"degraded"`
 	// Suspects lists the flagged events behind a degraded prediction.
 	Suspects []string `json:"suspects,omitempty"`
+	// MissingEvents lists classifier attributes the sample does not
+	// carry at all (ensemble keys only), sorted.
+	MissingEvents []string `json:"missing_events,omitempty"`
 	// Detector is the registry key that produced the verdict.
 	Detector string `json:"detector"`
 	// Seconds is the simulated runtime (trace replays only).

@@ -1,10 +1,10 @@
 package stream
 
-// Monitor binds the pure Engine to a live workload: it runs kernels on
-// a freshly built machine in bounded scheduler slices (the pattern of
-// core.DetectSliced), reads and resets the PMU at every slice boundary,
-// feeds the slice samples to the engine, and fans the resulting event
-// stream out to subscribers. The engine side stays strictly synchronous
+// Monitor binds the pure Engine to a live workload: it runs kernels in
+// the collector's slice loop (core.Collector.MeasureSliced, shared with
+// core.DetectSliced), reads the PMU at every slice boundary, feeds the
+// slice samples to the engine, and fans the resulting event stream out
+// to subscribers. The engine side stays strictly synchronous
 // — the canonical event sequence is a pure function of (collector
 // config, seed, window spec, kernels) — so determinism survives any
 // number of concurrent sessions. Backpressure exists only at the
@@ -21,7 +21,6 @@ import (
 
 	"fsml/internal/core"
 	"fsml/internal/machine"
-	"fsml/internal/pmu"
 )
 
 // Stream metric names, registered on whatever CounterSink the session
@@ -218,43 +217,20 @@ func (m *Monitor) Run(ctx context.Context, kernels []machine.Kernel) (*Summary, 
 		return nil, err
 	}
 
-	mcfg := m.col.Machine
-	mcfg.Seed = m.cfg.Seed
-	mcfg.Monitor = true
-	mach := machine.New(mcfg)
-
-	pcfg := m.col.PMU
-	pcfg.Seed = m.cfg.Seed
-	pcfg.Faults = m.col.Faults
-	pcfg.CaseKey = fmt.Sprintf("stream/seed=%d", m.cfg.Seed)
-	evs := m.col.Events
-	if evs == nil {
-		evs = pmu.Table2()
-	}
-	p := pmu.New(pcfg, evs)
-
-	exec := mach.StartExecution(kernels)
-	truncated := false
-	for {
-		if ctx.Err() != nil {
-			truncated = true
-			break
-		}
-		res, finished := exec.Run(m.cfg.SliceRounds)
-		if res.Rounds == 0 && finished {
-			break
-		}
-		events, err := eng.Push(p.Read(mach.Hierarchy()), mach.Seconds(res))
+	key := fmt.Sprintf("stream/seed=%d", m.cfg.Seed)
+	err = m.col.MeasureSliced(ctx, key, m.cfg.Seed, kernels, m.cfg.SliceRounds, func(iv core.Interval) error {
+		// The engine's rolling sums do the window math over the
+		// per-slice samples.
+		events, err := eng.Push(iv.Read(), iv.Seconds)
 		if err != nil {
-			return nil, &core.PipelineError{Stage: core.StageClassify, Case: pcfg.CaseKey, Err: err}
+			return &core.PipelineError{Stage: core.StageClassify, Case: key, Err: err}
 		}
 		m.publish(events)
-		// Reset the banks so the next slice sample is measured in
-		// isolation — the engine's rolling sums do the window math.
-		mach.Hierarchy().ResetCounters()
-		if finished {
-			break
-		}
+		return nil
+	})
+	truncated := err != nil && err == ctx.Err()
+	if err != nil && !truncated {
+		return nil, err
 	}
 	done, err := eng.Finish(truncated)
 	if err != nil {
