@@ -31,13 +31,15 @@ fuzz:
 # fuzz-smoke is the CI leg (the same targets as ci.sh): a 10s fuzz of
 # each ingestion parser (access traces — alone and against the reference
 # parser — and perf output), the spec parsers, the simulator's
-# invariants, flat-vs-pointer tree inference and binary frame decoding,
+# invariants, the cache array against its reference, flat-vs-pointer
+# tree inference and binary frame decoding,
 # with the unit tests filtered out, so regressions in their robustness
 # surface on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 10s ./internal/machine
+	$(GO) test -run '^$$' -fuzz FuzzArrayMatchesReference -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
 	$(GO) test -run '^$$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle
@@ -61,7 +63,9 @@ bench:
 # multi-pathology ensemble costs per classify next to the single
 # 3-class tree; BENCH_16.json — the trace-replay layers (parse of the
 # benchmark's six gzipped 20k-record traces, their replay on fresh
-# machines) and simulator throughput.
+# machines) and simulator throughput; BENCH_22.json — the simulator's
+# per-access cost (an L1 hit, a HITM store, a streaming miss), machine
+# throughput and trace replay.
 bench-snapshot:
 	$(GO) run ./cmd/benchsnap -o BENCH_6.json \
 	    -bench 'FlatPredict|ClassifyBatch|DetectorClassify|ServeClassify' \
@@ -76,6 +80,8 @@ bench-snapshot:
 	    -bench 'EnsembleClassify|DetectorClassify' ./internal/ensemble
 	$(GO) run ./cmd/benchsnap -o BENCH_16.json \
 	    -bench 'TraceParse|TraceReplay|MachineRunThroughput' ./internal/trace .
+	$(GO) run ./cmd/benchsnap -o BENCH_22.json \
+	    -bench 'SimLoadL1Hit|SimStorePingPong|SimStreamingScan|MachineRunThroughput|TraceReplay' ./internal/trace .
 
 # serve-smoke exercises the detection server's full lifecycle: bind an
 # ephemeral port, health-check, register a model, classify through the

@@ -33,6 +33,9 @@ go test -run '^$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/trace
 # Arbitrary access mixes keep the simulator's coherence invariants and
 # counter identities after every scheduling round.
 go test -run '^$' -fuzz FuzzMachine -fuzztime 10s ./internal/machine
+# The lazily allocated, mask-indexed cache array must give the same
+# hits, victims and LRU stamps as a plain reference array.
+go test -run '^$' -fuzz FuzzArrayMatchesReference -fuzztime 10s ./internal/cache
 go test -run '^$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
 go test -run '^$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream
 go test -run '^$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle

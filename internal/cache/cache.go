@@ -212,3 +212,25 @@ func (a *array) forEachValid(fn func(*line)) {
 		}
 	}
 }
+
+// checkSets verifies the set property peek relies on when it returns
+// the first match: no set holds two valid copies of one line. name
+// labels the array in the error.
+func (a *array) checkSets(name string) error {
+	for c, ch := range a.chunks {
+		for off := 0; off < len(ch); off += a.ways {
+			set := ch[off : off+a.ways]
+			for w := range set {
+				if set[w].state == Invalid {
+					continue
+				}
+				for _, x := range set[w+1:] {
+					if x.state != Invalid && x.tag == set[w].tag {
+						return fmt.Errorf("%s: set %d holds line %#x twice", name, c<<chunkShift+off/a.ways, x.tag)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fsml/internal/mem"
 )
@@ -145,18 +146,24 @@ func (h *Hierarchy) add(core int, e EvID, n uint64) { h.counters[core][e] += n }
 // ---------------------------------------------------------------------------
 // LFB handling
 
-// drainLFB installs fills that have completed for core c.
-func (h *Hierarchy) drainLFB(c int) {
-	p := &h.cores[c]
-	kept := p.lfb[:0]
-	for _, f := range p.lfb {
-		if f.readyAt <= p.ops {
-			h.installL1(c, f.line, f.state)
-		} else {
-			kept = append(kept, f)
-		}
+// drainLFB installs fills that have completed for core c. The buffer is
+// FIFO by readyAt (every fill is queued LFBWindow ops after the core's
+// current op, and removals keep order), so the completed fills are a
+// prefix and the common case is one comparison.
+func (h *Hierarchy) drainLFB(c int, p *priv) {
+	if len(p.lfb) != 0 && p.lfb[0].readyAt <= p.ops {
+		h.retireReady(c, p)
 	}
-	p.lfb = kept
+}
+
+// retireReady installs the completed prefix of core c's fill buffer.
+func (h *Hierarchy) retireReady(c int, p *priv) {
+	n := 0
+	for n < len(p.lfb) && p.lfb[n].readyAt <= p.ops {
+		h.installL1(c, p.lfb[n].line, p.lfb[n].state)
+		n++
+	}
+	p.lfb = p.lfb[:copy(p.lfb, p.lfb[n:])]
 }
 
 // findLFB returns the pending fill for lineAddr, if any.
@@ -303,10 +310,8 @@ func (h *Hierarchy) ensureL3(c int, lineAddr uint64, l3l *line) *line {
 // the L3 miss that caused the eviction belongs to the requester.
 func (h *Hierarchy) evictL3Victim(c int, v *line) {
 	dirty := v.state == Modified
-	for hc := 0; hc < h.ncores; hc++ {
-		if v.mask&(1<<uint(hc)) == 0 {
-			continue
-		}
+	for m := v.mask; m != 0; m &= m - 1 {
+		hc := bits.TrailingZeros64(m)
 		p := &h.cores[hc]
 		p.dropLFB(v.tag)
 		p.l1.invalidate(v.tag)
@@ -386,10 +391,10 @@ func (h *Hierarchy) snoop(c int, lineAddr uint64, l3l *line, rfo bool) snoopResu
 	if l3l == nil {
 		return res
 	}
-	for hc := 0; hc < h.ncores; hc++ {
-		if hc == c || l3l.mask&(1<<uint(hc)) == 0 {
-			continue
-		}
+	// Peers are visited in ascending core order, the set bits of the
+	// directory mask without the requester's own.
+	for m := l3l.mask &^ (1 << uint(c)); m != 0; m &= m - 1 {
+		hc := bits.TrailingZeros64(m)
 		p := &h.cores[hc]
 		l2l := p.l2.peek(lineAddr)
 		if l2l == nil {
@@ -441,7 +446,7 @@ func (h *Hierarchy) snoop(c int, lineAddr uint64, l3l *line, rfo bool) snoopResu
 func (h *Hierarchy) Load(c int, addr uint64) int {
 	p := &h.cores[c]
 	p.ops++
-	h.drainLFB(c)
+	h.drainLFB(c, p)
 	h.add(c, EvLoads, 1)
 	lineAddr := mem.LineOf(addr)
 
@@ -512,7 +517,7 @@ func (h *Hierarchy) Load(c int, addr uint64) int {
 func (h *Hierarchy) Store(c int, addr uint64) int {
 	p := &h.cores[c]
 	p.ops++
-	h.drainLFB(c)
+	h.drainLFB(c, p)
 	h.add(c, EvStores, 1)
 	lineAddr := mem.LineOf(addr)
 
@@ -532,7 +537,7 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 			h.add(c, EvL1Hit, 1)
 			return LatL1
 		case Shared:
-			return h.upgrade(c, lineAddr)
+			return h.upgrade(c, lineAddr, l1l, p.l2.peek(lineAddr))
 		}
 	}
 	h.add(c, EvL1StoreMiss, 1)
@@ -544,7 +549,7 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 			h.add(c, EvL2PrefetchUseful, 1)
 		}
 		if l2l.state == Shared {
-			lat := h.upgrade(c, lineAddr)
+			lat := h.upgrade(c, lineAddr, nil, l2l)
 			if pf {
 				h.continueStream(c, lineAddr)
 			}
@@ -593,17 +598,18 @@ func (h *Hierarchy) Store(c int, addr uint64) int {
 }
 
 // upgrade performs the S->M transition for a line core c holds Shared:
-// an invalidation round on the bus, no data transfer.
-func (h *Hierarchy) upgrade(c int, lineAddr uint64) int {
-	p := &h.cores[c]
+// an invalidation round on the bus, no data transfer. l1l and l2l are
+// the line's slots in c's L1 (nil when only L2 holds it) and L2; the
+// snoop touches only peer caches, so they stay valid across it.
+func (h *Hierarchy) upgrade(c int, lineAddr uint64, l1l, l2l *line) int {
 	h.add(c, EvL2RFOHitS, 1)
 	// c holds the line, so L3 does too (inclusivity).
 	l3l := h.l3.peek(lineAddr)
 	h.snoop(c, lineAddr, l3l, true)
-	if l2l := p.l2.peek(lineAddr); l2l != nil {
+	if l2l != nil {
 		l2l.state = Modified
 	}
-	if l1l := p.l1.peek(lineAddr); l1l != nil {
+	if l1l != nil {
 		l1l.state = Modified
 	} else {
 		h.installL1(c, lineAddr, Modified)
@@ -689,15 +695,33 @@ func (h *Hierarchy) prefetchNext(c int, lineAddr uint64) {
 //  2. if any core holds a line Exclusive or Modified, no other core holds it;
 //  3. every L1 line is present in the same core's L2 with the same state;
 //  4. every L2 line is present in L3, and its directory bit is set;
-//  5. every set directory bit corresponds to a real L2 copy.
+//  5. every set directory bit corresponds to a real L2 copy;
+//  6. a set holds at most one valid copy of a line (peek returns the
+//     first match);
+//  7. each core's fill buffer is in ascending readyAt order (drainLFB
+//     retires only a prefix).
 func (h *Hierarchy) CheckInvariants() error {
 	type holder struct {
 		core  int
 		state State
 	}
+	if err := h.l3.checkSets("L3"); err != nil {
+		return err
+	}
 	holders := make(map[uint64][]holder)
 	for c := range h.cores {
 		p := &h.cores[c]
+		if err := p.l1.checkSets(fmt.Sprintf("core %d L1", c)); err != nil {
+			return err
+		}
+		if err := p.l2.checkSets(fmt.Sprintf("core %d L2", c)); err != nil {
+			return err
+		}
+		for i := 1; i < len(p.lfb); i++ {
+			if p.lfb[i].readyAt < p.lfb[i-1].readyAt {
+				return fmt.Errorf("fill buffer: core %d entry %d ready at %d before entry %d at %d", c, i, p.lfb[i].readyAt, i-1, p.lfb[i-1].readyAt)
+			}
+		}
 		var err error
 		p.l2.forEachValid(func(l *line) {
 			if err != nil {

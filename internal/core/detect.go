@@ -135,6 +135,9 @@ type CaseResult struct {
 	// Seconds is the case's simulated runtime, reported in the detail
 	// tables (Tables 6 and 8).
 	Seconds float64
+	// Instructions is the measured run's retired instruction count (0
+	// when Failed), the quantity the §4.3 stability study summarizes.
+	Instructions uint64
 	// Confidence is the detector's confidence in Class: 1 for a clean
 	// full-vector prediction, lower when flagged counter reads degraded
 	// it, 0 when Failed.
@@ -207,7 +210,8 @@ func (c *Collector) ClassifyCase(det Classifier, build func() BatchCase) (CaseRe
 	}
 	return CaseResult{
 		Desc: bc.Desc, Class: rr.Class, Seconds: obs.Seconds,
-		Confidence: rr.Confidence, Degraded: rr.Degraded,
+		Instructions: obs.Result.Instructions,
+		Confidence:   rr.Confidence, Degraded: rr.Degraded,
 		Suspects: rr.Suspects, Attempts: attempts,
 	}, nil
 }

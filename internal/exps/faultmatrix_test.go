@@ -208,3 +208,41 @@ func TestFaultMatrixWideDeterministicAcrossParallelism(t *testing.T) {
 		t.Errorf("render differs across parallelism")
 	}
 }
+
+// TestFaultedStabilityStudyCompletes pins the §4.3 study's fault
+// posture: every repeat is measured and classified through the
+// collector's retry-and-classify step, so heavy counter faults neither
+// abort the study nor reach its histogram. A repeat whose counters stay
+// unusable is left out of the histogram and the instruction summary.
+func TestFaultedStabilityStudyCompletes(t *testing.T) {
+	l := NewQuickLab()
+	l.Faults = faults.Config{Rate: 0.5, Seed: 3}
+	const repeats = 6
+	for _, sc := range DefaultStabilityCases() {
+		r, err := l.StabilityStudy(sc.Program, sc.Case, repeats)
+		if err != nil {
+			t.Fatalf("%s: faulted stability study aborted: %v", sc.Program, err)
+		}
+		if len(r.Runs) == 0 || len(r.Runs) > repeats {
+			t.Fatalf("%s: %d answered repeats of %d", sc.Program, len(r.Runs), repeats)
+		}
+		answered := 0
+		for class, n := range r.Histogram {
+			if class == "" {
+				t.Errorf("%s: histogram counts %d unclassified repeats", sc.Program, n)
+			}
+			if got := r.InstrByClass[class].N; got != n {
+				t.Errorf("%s: %s summarizes %d runs, histogram has %d", sc.Program, class, got, n)
+			}
+			answered += n
+		}
+		if answered != len(r.Runs) {
+			t.Errorf("%s: histogram holds %d repeats, runs %d", sc.Program, answered, len(r.Runs))
+		}
+		for _, run := range r.Runs {
+			if run.Instructions == 0 {
+				t.Errorf("%s: repeat seed %d carries no instruction count", sc.Program, run.Seed)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fsml/internal/core"
 	"fsml/internal/stats"
 	"fsml/internal/suite"
 )
@@ -43,19 +44,28 @@ func (l *Lab) StabilityStudy(program string, cs suite.Case, repeats int) (*Stabi
 	if err != nil {
 		return nil, err
 	}
+	seedOf := func(r int) uint64 { return cs.Seed + uint64(r)*6151 + 1 }
+	// Each repeat is one case of the lab's measure-retry-classify step, so
+	// a faulted read is re-measured and a repeat that still fails is
+	// left out of the histogram instead of aborting the study.
+	results, err := l.Collector().BatchClassify(l.ctx(), det, repeats, func(r int) core.BatchCase {
+		run := cs
+		run.Seed = seedOf(r)
+		desc := fmt.Sprintf("%s/%s/rep%d", program, run, r)
+		return core.BatchCase{Desc: desc, MeasureDesc: desc, Seed: run.Seed, Kernels: w.Build(run)}
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &StabilityResult{Program: program, Case: cs, Histogram: map[string]int{}, InstrByClass: map[string]stats.Summary{}}
 	instr := map[string][]float64{}
-	for r := 0; r < repeats; r++ {
-		run := cs
-		run.Seed = cs.Seed + uint64(r)*6151 + 1
-		obs := l.Collector().Measure(fmt.Sprintf("%s/%s/rep%d", program, run, r), run.Seed, w.Build(run))
-		class, err := det.ClassifyObservation(obs)
-		if err != nil {
-			return nil, err
+	for r, cr := range results {
+		if cr.Failed {
+			continue
 		}
-		res.Runs = append(res.Runs, StabilityRun{Seed: run.Seed, Class: class, Instructions: obs.Result.Instructions, Seconds: obs.Seconds})
-		res.Histogram[class]++
-		instr[class] = append(instr[class], float64(obs.Result.Instructions))
+		res.Runs = append(res.Runs, StabilityRun{Seed: seedOf(r), Class: cr.Class, Instructions: cr.Instructions, Seconds: cr.Seconds})
+		res.Histogram[cr.Class]++
+		instr[cr.Class] = append(instr[cr.Class], float64(cr.Instructions))
 	}
 	for class, xs := range instr {
 		res.InstrByClass[class] = stats.Summarize(xs)

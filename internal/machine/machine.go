@@ -146,13 +146,18 @@ func (m *Machine) Config() Config { return m.cfg }
 // Cycles returns core c's accumulated cycle count.
 func (m *Machine) Cycles(c int) uint64 { return m.cycles[c] }
 
-// Ctx is the interface a running thread uses to issue operations. It is
-// bound to one core for the duration of one scheduling turn.
+// Ctx is the interface a running thread uses to issue operations. One
+// Ctx serves one software thread for a whole execution: the thread's
+// core never changes, so the core's counter bank, DTLB and cycle count
+// are resolved once, and each scheduling turn only refills the budget.
 type Ctx struct {
 	m      *Machine
 	core   int
 	thread int
 	budget int
+	bank   *cache.Counters
+	tlb    *tlb
+	cycles *uint64
 }
 
 // Core returns the physical core this context is bound to.
@@ -166,51 +171,61 @@ func (c *Ctx) Thread() int { return c.thread }
 // one loop body is harmless.
 func (c *Ctx) Budget() int { return c.budget }
 
-func (c *Ctx) charge(cycles int) { c.m.cycles[c.core] += uint64(cycles) }
+func (c *Ctx) charge(cycles int) { *c.cycles += uint64(cycles) }
+
+// tlbLatency performs the DTLB lookup for addr and returns the added
+// latency.
+func (c *Ctx) tlbLatency(addr uint64) int {
+	if c.tlb.access(addr) {
+		return 0
+	}
+	c.bank[cache.EvDTLBMiss]++
+	c.bank[cache.EvDTLBWalkCycles] += tlbWalkCycles
+	return tlbWalkCycles
+}
 
 // Load issues a data load at addr.
 func (c *Ctx) Load(addr uint64) {
 	c.budget--
-	m := c.m
-	bank := m.hier.Counters(c.core)
-	bank.Add(cache.EvInstructions, 1)
-	bank.Add(cache.EvUopsRetired, 2)
-	c.charge(m.tlbAccess(c.core, addr))
-	lat := m.hier.Load(c.core, addr)
-	c.charge(lat)
+	bank := c.bank
+	bank[cache.EvInstructions]++
+	bank[cache.EvUopsRetired] += 2
+	walk := c.tlbLatency(addr)
+	lat := c.m.hier.Load(c.core, addr)
+	c.charge(walk + lat)
 	if lat > cache.LatL1 {
 		stall := uint64(lat - cache.LatL1)
-		bank.Add(cache.EvStallLoad, stall)
-		bank.Add(cache.EvStallAny, stall)
+		bank[cache.EvStallLoad] += stall
+		bank[cache.EvStallAny] += stall
 	}
-	c.trace(addr, false)
+	if c.m.cfg.Tracer != nil {
+		c.trace(addr, false)
+	}
 }
 
 // Store issues a data store at addr.
 func (c *Ctx) Store(addr uint64) {
 	c.budget--
-	m := c.m
-	bank := m.hier.Counters(c.core)
-	bank.Add(cache.EvInstructions, 1)
-	bank.Add(cache.EvUopsRetired, 2)
-	c.charge(m.tlbAccess(c.core, addr))
-	lat := m.hier.Store(c.core, addr)
-	c.charge(lat)
+	bank := c.bank
+	bank[cache.EvInstructions]++
+	bank[cache.EvUopsRetired] += 2
+	walk := c.tlbLatency(addr)
+	lat := c.m.hier.Store(c.core, addr)
+	c.charge(walk + lat)
 	if lat > cache.LatL1 {
 		stall := uint64(lat - cache.LatL1)
-		bank.Add(cache.EvStallStore, stall)
-		bank.Add(cache.EvStallAny, stall)
+		bank[cache.EvStallStore] += stall
+		bank[cache.EvStallAny] += stall
 	}
-	c.trace(addr, true)
+	if c.m.cfg.Tracer != nil {
+		c.trace(addr, true)
+	}
 }
 
 // trace routes the access to the attached instrumentation tool, charging
 // its per-access overhead.
 func (c *Ctx) trace(addr uint64, write bool) {
 	m := c.m
-	if m.cfg.Tracer == nil {
-		return
-	}
 	m.cfg.Tracer(c.thread, addr, write)
 	over := m.cfg.TracerOverhead
 	if over == 0 {
@@ -229,9 +244,9 @@ func (c *Ctx) Exec(n int) {
 		return
 	}
 	c.budget -= n
-	bank := c.m.hier.Counters(c.core)
-	bank.Add(cache.EvInstructions, uint64(n))
-	bank.Add(cache.EvUopsRetired, uint64(n))
+	bank := c.bank
+	bank[cache.EvInstructions] += uint64(n)
+	bank[cache.EvUopsRetired] += uint64(n)
 	c.charge(n)
 	if c.m.cfg.ExecTracer != nil {
 		c.m.cfg.ExecTracer(c.thread, n)
@@ -246,10 +261,10 @@ func (c *Ctx) Branch(n int) {
 	}
 	c.budget -= n
 	m := c.m
-	bank := m.hier.Counters(c.core)
-	bank.Add(cache.EvInstructions, uint64(n))
-	bank.Add(cache.EvUopsRetired, uint64(n))
-	bank.Add(cache.EvBranches, uint64(n))
+	bank := c.bank
+	bank[cache.EvInstructions] += uint64(n)
+	bank[cache.EvUopsRetired] += uint64(n)
+	bank[cache.EvBranches] += uint64(n)
 	c.charge(n)
 	if m.cfg.ExecTracer != nil {
 		m.cfg.ExecTracer(c.thread, n)
@@ -258,21 +273,9 @@ func (c *Ctx) Branch(n int) {
 	miss := m.brCnt[c.core] / 48
 	if miss > 0 {
 		m.brCnt[c.core] -= miss * 48
-		bank.Add(cache.EvBranchMisses, miss)
+		bank[cache.EvBranchMisses] += miss
 		c.charge(int(miss) * 15)
 	}
-}
-
-// tlbAccess performs the DTLB lookup for addr on core c and returns the
-// added latency.
-func (m *Machine) tlbAccess(c int, addr uint64) int {
-	if m.tlbs[c].access(addr) {
-		return 0
-	}
-	bank := m.hier.Counters(c)
-	bank.Add(cache.EvDTLBMiss, 1)
-	bank.Add(cache.EvDTLBWalkCycles, tlbWalkCycles)
-	return tlbWalkCycles
 }
 
 // RunResult summarizes one workload execution.
@@ -319,10 +322,10 @@ type Execution struct {
 	offset      int
 	rotateEvery int
 	rounds      uint64
-	// ctx is rebound for every scheduling turn. Kernels receive it
-	// through an interface call, so a per-turn Ctx would be a heap
-	// allocation per turn; one per execution is not.
-	ctx Ctx
+	// ctxs holds one Ctx per kernel, bound once to the kernel's core.
+	// Kernels receive it through an interface call, so a per-turn Ctx
+	// would be a heap allocation per turn; one per thread is not.
+	ctxs []Ctx
 	// startCycles holds per-core cycle counts at the start of a slice.
 	startCycles []uint64
 }
@@ -335,6 +338,11 @@ func (m *Machine) StartExecution(kernels []Kernel) *Execution {
 		done:        make([]bool, len(kernels)),
 		remaining:   len(kernels),
 		startCycles: make([]uint64, m.cfg.Cores),
+		ctxs:        make([]Ctx, len(kernels)),
+	}
+	for i := range e.ctxs {
+		core := m.coreOf(i)
+		e.ctxs[i] = Ctx{m: m, core: core, thread: i, bank: m.hier.Counters(core), tlb: m.tlbs[core], cycles: &m.cycles[core]}
 	}
 	if len(kernels) > 0 {
 		e.offset = m.rng.Intn(len(kernels))
@@ -361,6 +369,7 @@ func (e *Execution) Run(maxSliceRounds int) (RunResult, bool) {
 	copy(startCycles, m.cycles)
 	startInstr := m.instructions()
 
+	monitorCycles := float64(m.cfg.Quantum) * m.cfg.MonitorOverhead
 	var sliceRounds uint64
 	for e.remaining > 0 {
 		if maxSliceRounds > 0 && sliceRounds >= uint64(maxSliceRounds) {
@@ -374,19 +383,24 @@ func (e *Execution) Run(maxSliceRounds int) (RunResult, bool) {
 		if e.rotateEvery > 0 && e.rounds%uint64(e.rotateEvery) == 0 {
 			e.offset++
 		}
-		for k := 0; k < len(e.kernels); k++ {
-			i := (k + e.offset) % len(e.kernels)
+		// Threads take their turns starting at the rotation offset.
+		n := len(e.kernels)
+		for k, i := 0, e.offset%n; k < n; k, i = k+1, i+1 {
+			if i == n {
+				i = 0
+			}
 			if e.done[i] {
 				continue
 			}
-			core := m.coreOf(i)
-			e.ctx = Ctx{m: m, core: core, thread: i, budget: m.cfg.Quantum}
-			if e.kernels[i].Step(&e.ctx) {
+			ctx := &e.ctxs[i]
+			ctx.budget = m.cfg.Quantum
+			if e.kernels[i].Step(ctx) {
 				e.done[i] = true
 				e.remaining--
 			}
 			if m.cfg.Monitor {
-				m.monDebt[core] += float64(m.cfg.Quantum) * m.cfg.MonitorOverhead
+				core := ctx.core
+				m.monDebt[core] += monitorCycles
 				if m.monDebt[core] >= 1 {
 					whole := uint64(m.monDebt[core])
 					m.cycles[core] += whole

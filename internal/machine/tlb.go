@@ -12,15 +12,20 @@ const (
 	tlbWalkCycles = 30
 )
 
+// tlbEntry is one translation: key is the page number plus one, so the
+// zero entry is invalid.
 type tlbEntry struct {
-	page  uint64
-	valid bool
-	lru   uint64
+	key uint64
+	lru uint64
 }
 
 type tlb struct {
 	sets [tlbSets][tlbWays]tlbEntry
 	tick uint64
+	// last is the set and way of the most recent lookup. A page occupies
+	// at most one entry of its set, so a memo holding the page is the
+	// hit a set scan would find.
+	lastSet, lastWay uint8
 }
 
 func newTLB() *tlb { return &tlb{} }
@@ -28,21 +33,31 @@ func newTLB() *tlb { return &tlb{} }
 // access looks up the page of addr, installing it on miss.
 // It reports whether the lookup hit.
 func (t *tlb) access(addr uint64) bool {
-	page := mem.PageOf(addr)
-	set := &t.sets[page%tlbSets]
+	key := mem.PageOf(addr) + 1
 	t.tick++
-	victim := 0
+	if e := &t.sets[t.lastSet%tlbSets][t.lastWay%tlbWays]; e.key == key {
+		e.lru = t.tick
+		return true
+	}
+	s := (key - 1) % tlbSets
+	set := &t.sets[s]
 	for i := range set {
-		if set[i].valid && set[i].page == page {
+		if set[i].key == key {
 			set[i].lru = t.tick
+			t.lastSet, t.lastWay = uint8(s), uint8(i)
 			return true
 		}
-		if !set[i].valid {
+	}
+	// Miss: the last invalid way, else the first least recently used.
+	victim := 0
+	for i := range set {
+		if set[i].key == 0 {
 			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
+		} else if set[victim].key != 0 && set[i].lru < set[victim].lru {
 			victim = i
 		}
 	}
-	set[victim] = tlbEntry{page: page, valid: true, lru: t.tick}
+	set[victim] = tlbEntry{key: key, lru: t.tick}
+	t.lastSet, t.lastWay = uint8(s), uint8(victim)
 	return false
 }

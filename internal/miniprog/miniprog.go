@@ -137,6 +137,26 @@ func splitRange(n, threads, tid int) (int, int) {
 	return start, end
 }
 
+// stepDiv yields it/n and it%n for a loop counter without dividing while
+// the counter ascends by one per call, as IterKernel drives its bodies;
+// any other step divides.
+type stepDiv struct{ n, next, q, r int }
+
+func newStepDiv(n int) *stepDiv { return &stepDiv{n: n, next: -1} }
+
+func (d *stepDiv) at(it int) (q, r int) {
+	if it == d.next {
+		if d.r++; d.r == d.n {
+			d.r = 0
+			d.q++
+		}
+	} else {
+		d.q, d.r = it/d.n, it%d.n
+	}
+	d.next = it + 1
+	return d.q, d.r
+}
+
 // accumulators allocates the per-thread accumulator slots: packed (one
 // line shared by up to 8 threads) in bad-fs mode, line-padded otherwise.
 func accumulators(space *mem.Space, threads int, mode Mode) mem.Array {
@@ -365,13 +385,13 @@ func buildPmatmult(spec Spec, space *mem.Space) []machine.Kernel {
 			cells := (re - rs) * n
 			perm := xrand.New(spec.Seed ^ uint64(tid)*0x9e37).Perm(cells)
 			base := rs * n * n
+			byCell := newStepDiv(n)
 			kernels[tid] = &machine.IterKernel{
 				I: base, End: re * n * n,
 				Body: func(ctx *machine.Ctx, it int) {
-					local := it - base
-					cell := perm[local/n]
+					ci, k := byCell.at(it - base)
+					cell := perm[ci]
 					i, j := rs+cell/n, cell%n
-					k := local % n
 					ctx.Load(a.Addr(i, k))
 					ctx.Load(b.Addr(k, j))
 					ctx.Exec(1)
@@ -383,11 +403,12 @@ func buildPmatmult(spec Spec, space *mem.Space) []machine.Kernel {
 		case BadFS:
 			// Accumulate every partial product into the packed per-thread
 			// slot, the shared-psum anti-pattern at matrix scale.
+			byRow, byCol := newStepDiv(n*n), newStepDiv(n)
 			kernels[tid] = &machine.IterKernel{
 				I: rs * n * n, End: re * n * n,
 				Body: func(ctx *machine.Ctx, it int) {
-					i, rem := it/(n*n), it%(n*n)
-					k, j := rem/n, rem%n
+					i, rem := byRow.at(it)
+					k, j := byCol.at(rem)
 					ctx.Load(a.Addr(i, k))
 					ctx.Load(b.Addr(k, j))
 					ctx.Load(slot)
@@ -401,11 +422,12 @@ func buildPmatmult(spec Spec, space *mem.Space) []machine.Kernel {
 		default:
 			// ikj order: streams rows of b and c; the a element stays in
 			// a register for a whole inner loop.
+			byRow, byCol := newStepDiv(n*n), newStepDiv(n)
 			kernels[tid] = &machine.IterKernel{
 				I: rs * n * n, End: re * n * n,
 				Body: func(ctx *machine.Ctx, it int) {
-					i, rem := it/(n*n), it%(n*n)
-					k, j := rem/n, rem%n
+					i, rem := byRow.at(it)
+					k, j := byCol.at(rem)
 					if j == 0 {
 						ctx.Load(a.Addr(i, k))
 					}
@@ -432,11 +454,11 @@ func buildPmatcompare(spec Spec, space *mem.Space) []machine.Kernel {
 		start, end := splitRange(n*n, spec.Threads, tid)
 		slot := acc.Addr(tid)
 		body := accumBody(spec.Mode, slot)
+		byRow := newStepDiv(n)
 		kernels[tid] = &machine.IterKernel{
 			I: start, End: end,
 			Body: func(ctx *machine.Ctx, it int) {
-				e := idx(it)
-				r, col := e/n, e%n
+				r, col := byRow.at(idx(it))
 				ctx.Load(a.Addr(r, col))
 				ctx.Load(b.Addr(r, col))
 				ctx.Branch(1)       // the comparison
@@ -502,11 +524,12 @@ func buildSmatmult(spec Spec, space *mem.Space) []machine.Kernel {
 	c := mem.NewMatrix(space, n, n, elem)
 	if spec.Mode == BadMA {
 		// jki order: both a and c are walked down columns.
+		byCol, byRow := newStepDiv(n*n), newStepDiv(n)
 		return []machine.Kernel{&machine.IterKernel{
 			End: n * n * n,
 			Body: func(ctx *machine.Ctx, it int) {
-				j, rem := it/(n*n), it%(n*n)
-				k, i := rem/n, rem%n
+				j, rem := byCol.at(it)
+				k, i := byRow.at(rem)
 				if i == 0 {
 					ctx.Load(b.Addr(k, j))
 				}
@@ -517,11 +540,12 @@ func buildSmatmult(spec Spec, space *mem.Space) []machine.Kernel {
 			},
 		}}
 	}
+	byRow, byCol := newStepDiv(n*n), newStepDiv(n)
 	return []machine.Kernel{&machine.IterKernel{
 		End: n * n * n,
 		Body: func(ctx *machine.Ctx, it int) {
-			i, rem := it/(n*n), it%(n*n)
-			k, j := rem/n, rem%n
+			i, rem := byRow.at(it)
+			k, j := byCol.at(rem)
 			if j == 0 {
 				ctx.Load(a.Addr(i, k))
 			}
